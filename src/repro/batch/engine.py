@@ -3,14 +3,13 @@
 The paper's headline scenario (§4.1 / Figure 4) is not one partial but a
 *library* of them: 3 regions with 3/3/4 module versions need 10 partial
 bitstreams generated against the same base design.  Driving
-:meth:`repro.core.jpg.Jpg.make_partial` once per module repeats three
+:meth:`repro.core.jpg.Jpg.make_partial` once per module repeats two
 pieces of work that depend only on the base: parsing the base bitstream
-into frame memory, measuring the complete stream's size, and clearing
-each region's tiles.  :class:`BatchJpg` factors all three out:
+into frame memory and clearing each region's tiles.  :class:`BatchJpg`
+factors both out:
 
 * the base configuration is parsed **once** and shared (each per-module
   :class:`~repro.core.jpg.Jpg` clones it cheaply);
-* the complete-bitstream size is measured **once**;
 * cleared-region frames are shared through a content-keyed
   :class:`~repro.batch.cache.FrameCache`, so K versions of one region
   pay for one clear;
@@ -36,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 
 from .. import utils
+from ..bitstream.assembler import full_stream_size
 from ..bitstream.bitfile import BitFile
 from ..bitstream.frames import FrameMemory
 from ..core.jpg import Jpg, JpgOptions, PartialResult
@@ -208,8 +208,7 @@ class BatchJpg:
                     jb.read(base_bitstream)
                 assert jb.frames is not None
                 self._base_frames = jb.frames
-                with self.metrics.stage("batch.measure_full", part=part):
-                    self._full_size = len(jb.write())
+                self._full_size = full_stream_size(jb.device)
 
     @property
     def full_size(self) -> int:
@@ -334,7 +333,6 @@ class BatchJpg:
                     self._base_frames,
                     base_design=self.base_design,
                     frame_cache=self.cache,
-                    full_size=self._full_size,
                 )
                 ucf = item.ucf
                 if isinstance(ucf, str):

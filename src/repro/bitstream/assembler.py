@@ -27,7 +27,7 @@ from ..errors import BitstreamError
 from ..obs import current_metrics
 from .bitfile import BitFile
 from .frames import FrameMemory, frame_runs
-from .packets import Command, PacketWriter, Register, far_encode
+from .packets import TYPE1_COUNT_MAX, Command, PacketWriter, Register, far_encode
 
 #: Default configuration-options word (CCLK startup phase settings).
 DEFAULT_COR = 0x0000_3FE5
@@ -67,6 +67,19 @@ def full_stream(frames: FrameMemory, *, cor: int = DEFAULT_COR, ctl: int = DEFAU
     metrics.count("assemble.full_streams")
     metrics.count("assemble.bytes_out", len(data))
     return data
+
+
+#: Words :func:`full_stream` writes around the frame data when the FDRI
+#: burst fits a type-1 header; a type-2 header adds one more.
+_FULL_STREAM_FIXED_WORDS = 35
+
+
+def full_stream_size(device: Device) -> int:
+    """Length in bytes of :func:`full_stream` for ``device``, from the
+    geometry alone (nothing is serialized)."""
+    payload = device.geometry.config_payload_words()
+    fixed = _FULL_STREAM_FIXED_WORDS + (payload > TYPE1_COUNT_MAX)
+    return 4 * (payload + fixed)
 
 
 def partial_stream(

@@ -11,16 +11,29 @@ Two table layers keep long FDRI bursts cheap:
   lookup table for the data bits plus a 16-entry table that shifts in the
   whole 4-bit register address at once;
 * bursts (:meth:`ConfigCrc.update_words`) exploit that one word+address
-  step is *affine over GF(2)* in (state, data, address): the per-word data
-  contribution is computed for the entire burst in one vectorized numpy
-  pass over four position tables, leaving only a 2-lookup-per-word carry
-  loop for the serial state dependency.
+  step is *affine over GF(2)*: ``step(s, w) = A(s) ^ g(w)`` with ``A`` the
+  linear state carry and ``g`` the word's data+address contribution.  After
+  ``n`` words the state is therefore
+
+      ``A^n(s) ^ A^(n-1)(g_0) ^ ... ^ A(g_(n-2)) ^ g_(n-1)``
+
+  Every ``g_i`` comes from one vectorized numpy pass: two 65536-entry
+  tables, one per 16-bit half of the word, each the XOR of two byte-position
+  tables.  The sum is then a log-depth fold: with the start state ``s``
+  prepended as one more term, adjacent pairs combine as
+  ``A^(2^k)(v[0::2]) ^ v[1::2]`` at level ``k`` (a zero is left-padded when
+  a level's length is odd, which ``A`` maps to zero), so ``n`` words take
+  ``ceil(log2(n + 1))`` numpy passes and no per-word Python work.  Each
+  ``A^(2^k)`` is a pair of 256-entry tables over the state's high and low
+  bytes, squared from the one below.
 
 Writing the accumulated value to the CRC register makes the device compare
 and reset; the RCRC command resets the accumulator.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -72,7 +85,7 @@ def _build_burst_tables():
     * ``A`` (the state carry) as two 256-entry tables over the state's
       high/low bytes;
     * ``G`` (the data contribution) as four 256-entry tables, one per
-      byte position — evaluated for a whole burst in one numpy pass;
+      byte position (paired below into one table per 16-bit half);
     * ``C`` (the address contribution) as a 16-entry constant table.
     """
     a_lo = [_step(x, 0, 0) for x in range(256)]
@@ -84,6 +97,39 @@ def _build_burst_tables():
 
 
 _A_LO, _A_HI, (_G0, _G1, _G2, _G3), _ADDR_CONTRIB = _build_burst_tables()
+
+#: Type-2 packets count at most 2^27 words; 2^32 terms leaves headroom.
+_FOLD_LEVELS = 32
+
+
+def _build_carry_powers() -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(hi, lo)`` byte tables of ``A^(2^k)`` for every fold level ``k``.
+
+    ``A`` is linear, so ``A^m(s) == hi[s >> 8] ^ lo[s & 0xFF]`` for the
+    tables of ``A^m`` evaluated on each byte alone; squaring applies the
+    level's own tables twice to those byte values."""
+    hi = np.array(_A_HI, dtype=np.uint16)
+    lo = np.array(_A_LO, dtype=np.uint16)
+    byte = np.arange(256, dtype=np.uint16)
+    powers = [(hi, lo)]
+    for _ in range(_FOLD_LEVELS - 1):
+        hi, lo = powers[-1]
+        once_hi, once_lo = hi[byte], lo[byte]      # A^m on (b << 8) and on b
+        powers.append((
+            hi[once_hi >> 8] ^ lo[once_hi & 0xFF],
+            hi[once_lo >> 8] ^ lo[once_lo & 0xFF],
+        ))
+    return powers
+
+
+_A_POW2 = _build_carry_powers()
+_ZERO = np.zeros(1, dtype=np.uint16)
+
+#: Data contribution of a word's low and high 16-bit halves.
+_G_LO16 = np.tile(_G0, 256) ^ np.repeat(_G1, 256)
+_G_HI16 = np.tile(_G2, 256) ^ np.repeat(_G3, 256)
+#: Position of the less significant half (or byte) in a native-order view.
+_LOW = 0 if sys.byteorder == "little" else 1
 
 
 class ConfigCrc:
@@ -112,21 +158,24 @@ class ConfigCrc:
             return
         if payload.dtype != np.uint32:
             payload = payload.astype(np.uint64, copy=False).astype(np.uint32)
-        # vectorized data+address contribution of every word in the burst
-        contrib = (
-            _G0[payload & 0xFF]
-            ^ _G1[(payload >> np.uint32(8)) & 0xFF]
-            ^ _G2[(payload >> np.uint32(16)) & 0xFF]
-            ^ _G3[payload >> np.uint32(24)]
-            ^ _ADDR_CONTRIB[reg_addr & 0xF]
-        )
-        # serial state carry: two table lookups per word
-        crc = self.value
-        a_hi = _A_HI
-        a_lo = _A_LO
-        for g in contrib.tolist():
-            crc = a_hi[crc >> 8] ^ a_lo[crc & 0xFF] ^ g
-        self.value = crc
+        payload = np.ascontiguousarray(payload).reshape(-1)
+        # terms of the sum: the start state, then every word's
+        # data+address contribution, looked up by 16-bit half
+        halves = payload.view(np.uint16)
+        v = np.empty(payload.size + 1, dtype=np.uint16)
+        v[0] = self.value
+        np.take(_G_LO16, halves[_LOW::2], out=v[1:])
+        v[1:] ^= np.take(_G_HI16, halves[1 - _LOW::2])
+        v[1:] ^= _ADDR_CONTRIB[reg_addr & 0xF]
+        # log-depth fold: level k carries each left term 2^k words forward
+        for hi, lo in _A_POW2:
+            if v.size == 1:
+                break
+            if v.size & 1:
+                v = np.concatenate((_ZERO, v))
+            octets = v.view(np.uint8)        # pair m's left term is bytes 4m, 4m+1
+            v = np.take(hi, octets[1 - _LOW::4]) ^ np.take(lo, octets[_LOW::4]) ^ v[1::2]
+        self.value = int(v[0])
 
 
 def crc_of(stream: list[tuple[int, int]]) -> int:

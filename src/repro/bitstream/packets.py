@@ -83,12 +83,13 @@ CRC_COVERED: frozenset[Register] = frozenset(
 _OP_SHIFT = 27                      # not-a-frame-count
 _TYPE2_COUNT_BITS = 27              # not-a-frame-count
 
-_TYPE1_COUNT_MAX = (1 << 11) - 1
+#: Largest word count a type-1 header holds; longer bursts need a type-2.
+TYPE1_COUNT_MAX = (1 << 11) - 1
 _TYPE2_COUNT_MAX = (1 << _TYPE2_COUNT_BITS) - 1
 
 
 def type1_header(op: Opcode, reg: Register, count: int) -> int:
-    if not 0 <= count <= _TYPE1_COUNT_MAX:
+    if not 0 <= count <= TYPE1_COUNT_MAX:
         raise PacketError(f"type-1 word count {count} out of range")
     return (0b001 << 29) | (int(op) << _OP_SHIFT) | (int(reg) << 13) | count
 
@@ -158,20 +159,23 @@ def far_decode(word: int) -> tuple[int, int]:
 
 class PacketWriter:
     """Builds a configuration word stream, tracking the CRC as the device
-    will compute it so the correct check word can be inserted."""
+    will compute it so the correct check word can be inserted.
+
+    The stream is kept as a list of uint32 chunks: runs of header and
+    register words, and each FDRI payload as given (not copied, so it must
+    not change before :meth:`to_words`), joined by one concatenation."""
 
     def __init__(self) -> None:
         from .crc import ConfigCrc
 
-        self.words: list[int] = []
         self._crc = ConfigCrc()
-        self._arrays: list[np.ndarray] = []  # deferred large FDRI payloads
+        self._chunks: list[np.ndarray] = []
+        self._pending: list[int] = []  # words since the last chunk
 
     # raw words -------------------------------------------------------------
 
     def raw(self, word: int) -> None:
-        self._flush_arrays()
-        self.words.append(word & 0xFFFFFFFF)
+        self._pending.append(word & 0xFFFFFFFF)
 
     def dummy(self, n: int = 1) -> None:
         for _ in range(n):
@@ -187,11 +191,10 @@ class PacketWriter:
     # register writes ----------------------------------------------------------
 
     def write_reg(self, reg: Register, *values: int) -> None:
-        self._flush_arrays()
-        self.words.append(type1_header(Opcode.WRITE, reg, len(values)))
+        self._pending.append(type1_header(Opcode.WRITE, reg, len(values)))
         for v in values:
             v &= 0xFFFFFFFF
-            self.words.append(v)
+            self._pending.append(v)
             if reg in CRC_COVERED:
                 self._crc.update_word(int(reg), v)
 
@@ -202,15 +205,15 @@ class PacketWriter:
 
     def write_fdri(self, payload: np.ndarray) -> None:
         """Write a frame-data burst (type-1 + type-2 for long payloads)."""
-        self._flush_arrays()
         payload = np.asarray(payload, dtype=np.uint32).ravel()
         n = payload.size
-        if n <= _TYPE1_COUNT_MAX:
-            self.words.append(type1_header(Opcode.WRITE, Register.FDRI, n))
+        if n <= TYPE1_COUNT_MAX:
+            self._pending.append(type1_header(Opcode.WRITE, Register.FDRI, n))
         else:
-            self.words.append(type1_header(Opcode.WRITE, Register.FDRI, 0))
-            self.words.append(type2_header(Opcode.WRITE, n))
-        self._arrays.append(payload)
+            self._pending.append(type1_header(Opcode.WRITE, Register.FDRI, 0))
+            self._pending.append(type2_header(Opcode.WRITE, n))
+        self._end_chunk()
+        self._chunks.append(payload)
         self._crc.update_words(int(Register.FDRI), payload)
 
     def write_crc_check(self) -> None:
@@ -220,16 +223,17 @@ class PacketWriter:
 
     # output ----------------------------------------------------------------------
 
-    def _flush_arrays(self) -> None:
-        if self._arrays:
-            arrays = self._arrays
-            self._arrays = []
-            for a in arrays:
-                self.words.extend(a.tolist())
+    def _end_chunk(self) -> None:
+        if self._pending:
+            self._chunks.append(np.array(self._pending, dtype=np.uint32))
+            self._pending = []
 
     def to_words(self) -> np.ndarray:
-        self._flush_arrays()
-        return np.asarray(self.words, dtype=np.uint32)
+        """The stream so far, as a new array (writing may continue)."""
+        self._end_chunk()
+        if not self._chunks:
+            return np.empty(0, dtype=np.uint32)
+        return np.concatenate(self._chunks)
 
     def to_bytes(self) -> bytes:
         from .. import utils

@@ -42,6 +42,7 @@ import argparse
 import sys
 
 from .. import utils
+from ..bitstream.assembler import full_stream_size
 from ..bitstream.bitfile import BitFile
 from ..bitstream.reader import parse_bitstream
 from ..devices import get_device, part_names
@@ -129,7 +130,7 @@ def _cmd_info(args) -> int:
         ("config columns", len(g.columns)),
         ("frames", g.total_frames),
         ("frame length", f"{g.frame_words} words ({g.frame_bits} payload bits)"),
-        ("full bitstream", utils.si_bytes(dev.full_bitstream_bytes_estimate()) + " (approx)"),
+        ("full bitstream", utils.si_bytes(full_stream_size(dev))),
         ("IDCODE", f"0x{dev.part.idcode:08x}"),
     ]
     print(utils.format_table(["property", "value"], rows))

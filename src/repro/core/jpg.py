@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ..bitstream.assembler import full_stream_size
 from ..bitstream.bitfile import BitFile
 from ..bitstream.bitgen import generate_frames
 from ..bitstream.frames import FrameMemory
@@ -102,12 +103,9 @@ class Jpg:
         base_design: NcdDesign | None = None,
         *,
         frame_cache: FrameCache | None = None,
-        full_size: int | None = None,
     ):
         """``frame_cache`` shares cleared-region work between instances
-        generating against the same base (see :mod:`repro.batch.cache`);
-        ``full_size`` skips re-serializing the complete bitstream when the
-        caller (e.g. the batch engine) already knows its length."""
+        generating against the same base (see :mod:`repro.batch.cache`)."""
         self.part = part
         self.jbits = JBits(part)
         self.frame_cache = frame_cache
@@ -115,11 +113,7 @@ class Jpg:
         with metrics.stage("jpg.init_base", part=part):
             self.jbits.read(base_bitstream)
         self.base_design = base_design
-        base = self.jbits.frames
-        assert base is not None
-        if full_size is None:
-            full_size = len(self.jbits.write())
-        self._full_size = full_size
+        self._full_size = full_stream_size(self.jbits.device)
 
     # -- configuration state -----------------------------------------------------
 

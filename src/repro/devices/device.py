@@ -145,16 +145,6 @@ class Device:
         self.geometry.check_tile(row, col)
         return [p for p in wires.PIP_TABLE if self.pip_valid(row, col, p)]
 
-    # -- convenience -----------------------------------------------------------
-
-    def full_bitstream_bytes_estimate(self) -> int:
-        """Approximate size of a complete bitstream in bytes (frame payload
-        plus per-column command overhead); the exact number comes from the
-        assembler, this is for quick capacity planning."""
-        payload = self.geometry.config_payload_words()
-        overhead = 64 + 2 * len(self.geometry.columns)  # not-a-frame-count
-        return 4 * (payload + overhead)
-
 
 @lru_cache(maxsize=None)
 def _get_device_canonical(canonical_name: str) -> Device:

@@ -2,7 +2,7 @@
 
 :class:`GenerationService` is the synchronous core the async scheduler
 and the wire protocol sit on.  It owns one :class:`~repro.batch.BatchJpg`
-(the base bitstream parsed once, the full-stream size measured once), a
+(the base bitstream parsed once), a
 disk-backed :class:`~repro.serve.diskcache.PersistentFrameCache` for
 cleared-region sharing, and a :class:`~repro.serve.diskcache.DiskCache`
 of finished partials — so repeated requests are answered from disk

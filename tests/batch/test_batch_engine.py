@@ -124,8 +124,8 @@ class TestRun:
         assert m.counter("framecache.hit") == 2
         assert m.timers["jpg.emit"].count == 4
         assert m.timers["batch.load_base"].count == 1
-        # the complete stream is measured once for the whole batch
-        assert m.timers["batch.measure_full"].count == 1
+        # the complete stream's size comes from the geometry: never serialized
+        assert "assemble.full_stream" not in m.timers
 
     def test_report_rendering(self, demo_project, engine):
         report = engine.run(items_from_project(demo_project))

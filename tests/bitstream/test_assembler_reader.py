@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitstream.assembler import full_stream, partial_stream
+from repro.bitstream.assembler import full_stream, full_stream_size, partial_stream
 from repro.bitstream.frames import FrameMemory
 from repro.bitstream.packets import (
     Command,
@@ -14,7 +14,7 @@ from repro.bitstream.packets import (
     far_encode,
 )
 from repro.bitstream.reader import ConfigInterpreter, apply_bitstream, parse_bitstream
-from repro.devices import get_device
+from repro.devices import get_device, part_names, random_device, variant_names
 from repro.devices.resources import SLICE
 from repro.errors import BitstreamError, CrcError, PacketError, SyncError
 from repro.utils import bytes_to_words
@@ -48,6 +48,15 @@ class TestFullStream:
         # the real XCV50 bitstream is ~69.9 KB
         size = len(full_stream(FrameMemory(dev)))
         assert 60_000 < size < 80_000
+
+    @pytest.mark.parametrize(
+        "part",
+        part_names() + variant_names() + [f"random:{seed}" for seed in range(6)],
+    )
+    def test_size_from_geometry_matches_stream(self, part):
+        device = (random_device(int(part.split(":")[1])) if part.startswith("random:")
+                  else get_device(part))
+        assert full_stream_size(device) == len(full_stream(FrameMemory(device)))
 
     def test_deterministic(self, dev):
         fm = configured_memory(dev)

@@ -1,6 +1,7 @@
 """Configuration CRC tests."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -108,12 +109,19 @@ class TestAgainstBitReference:
     def test_property_update_word_matches_bit_reference(self, stream):
         assert crc_of(stream) == _crc_bit_by_bit(stream)
 
-    def test_burst_matches_bit_reference(self):
+    @pytest.mark.parametrize("prefix", [[], [(4, 7)]], ids=["reset", "nonzero-start"])
+    @pytest.mark.parametrize("n", [*range(71), 255, 256, 257, 500, 1023, 4097])
+    def test_burst_matches_bit_reference(self, n, prefix):
+        """Every fold depth, odd and even level lengths, and lengths either
+        side of a power of two, from reset and from a nonzero state."""
         rng = np.random.default_rng(77)
-        words = rng.integers(0, 1 << 32, size=500, dtype=np.uint64).astype(np.uint32)
+        words = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
         burst = ConfigCrc()
+        for addr, word in prefix:
+            burst.update_word(addr, word)
+        assert (burst.value != 0) == bool(prefix)
         burst.update_words(2, words)
-        assert burst.value == _crc_bit_by_bit([(2, int(w)) for w in words])
+        assert burst.value == _crc_bit_by_bit(prefix + [(2, int(w)) for w in words])
 
     def test_burst_from_nonzero_state_matches_reference(self):
         """The affine carry must be exact from any starting state, not just

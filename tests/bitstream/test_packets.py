@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.bitstream.crc import crc_of
 from repro.bitstream.packets import (
     DUMMY_WORD,
     SYNC_WORD,
@@ -19,6 +20,8 @@ from repro.bitstream.packets import (
     type1_header,
     type2_header,
 )
+from repro.bitstream.reader import parse_bitstream
+from repro.devices import get_device
 from repro.errors import PacketError
 
 
@@ -138,3 +141,60 @@ class TestPacketWriter:
         w = PacketWriter()
         w.sync()
         assert w.to_bytes() == bytes.fromhex("aa995566")
+
+    def test_interleaved_stream_matches_hand_built(self):
+        """Register writes between a short (type-1) and a long (type-2)
+        FDRI burst, with the stream read back mid-way, twice: the chunks
+        join into exactly the hand-built words and the CRC check passes."""
+        dev = get_device("XCV50")
+        g = dev.geometry
+        rng = np.random.default_rng(5)
+        short = rng.integers(0, 1 << 32, size=2 * g.frame_words, dtype=np.uint64)
+        long_ = rng.integers(0, 1 << 32, size=200 * g.frame_words, dtype=np.uint64)
+        short, long_ = short.astype(np.uint32), long_.astype(np.uint32)
+        far10 = far_encode(*g.frame_address(10))
+
+        w = PacketWriter()
+        w.dummy()
+        w.sync()
+        w.command(Command.RCRC)
+        w.write_reg(Register.IDCODE, dev.part.idcode)
+        w.write_reg(Register.FLR, g.flr_value)
+        w.write_reg(Register.FAR, far_encode(0, 0))
+        w.command(Command.WCFG)
+        w.write_fdri(short)
+        first = w.to_words()
+        assert np.array_equal(w.to_words(), first)
+        w.write_reg(Register.FAR, far10)
+        w.command(Command.WCFG)
+        w.write_fdri(long_)
+        w.write_crc_check()
+        w.command(Command.LFRM)
+        w.command(Command.DESYNC)
+        w.dummy(2)
+
+        def t1(reg, n=1):
+            return type1_header(Opcode.WRITE, reg, n)
+
+        covered = [
+            (Register.IDCODE, dev.part.idcode), (Register.FLR, g.flr_value),
+            (Register.FAR, 0), (Register.CMD, Command.WCFG),
+            *((Register.FDRI, int(x)) for x in short),
+            (Register.FAR, far10), (Register.CMD, Command.WCFG),
+            *((Register.FDRI, int(x)) for x in long_),
+        ]
+        expected = [
+            DUMMY_WORD, SYNC_WORD, t1(Register.CMD), Command.RCRC,
+            t1(Register.IDCODE), dev.part.idcode, t1(Register.FLR), g.flr_value,
+            t1(Register.FAR), 0, t1(Register.CMD), Command.WCFG,
+            t1(Register.FDRI, short.size), *short.tolist(),
+            t1(Register.FAR), far10, t1(Register.CMD), Command.WCFG,
+            t1(Register.FDRI, 0), type2_header(Opcode.WRITE, long_.size), *long_.tolist(),
+            t1(Register.CRC), crc_of([(int(r), int(v)) for r, v in covered]),
+            t1(Register.CMD), Command.LFRM, t1(Register.CMD), Command.DESYNC,
+            DUMMY_WORD, DUMMY_WORD,
+        ]
+        assert first.tolist() == expected[:first.size]
+        assert w.to_words().tolist() == expected
+        _, stats = parse_bitstream(dev, w.to_bytes())
+        assert stats.crc_checks_passed == 1

@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.bitstream.assembler import full_stream
+from repro.bitstream.frames import FrameMemory
 from repro.core.cli import main
+from repro.devices import get_device
+from repro.utils import si_bytes
 from repro.xdl import save_xdl
 
 
@@ -31,6 +35,12 @@ class TestInfo:
         assert main(["info", "XCV300"]) == 0
         out = capsys.readouterr().out
         assert "32 x 48" in out and "frames" in out
+
+    def test_info_full_size_is_the_assembled_stream(self, capsys):
+        assert main(["info", "XCV100"]) == 0
+        out = capsys.readouterr().out
+        size = len(full_stream(FrameMemory(get_device("XCV100"))))
+        assert si_bytes(size) in out and "approx" not in out
 
     def test_unknown_part(self, capsys):
         # not an argparse choices error anymore: any registered spec is
