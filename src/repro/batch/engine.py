@@ -209,6 +209,8 @@ class BatchJpg:
                 assert jb.frames is not None
                 self._base_frames = jb.frames
                 self._full_size = full_stream_size(jb.device)
+        # the frame-cache key of the base, hashed once for every item
+        self._base_key = self.cache.base_key(self._base_frames)
 
     @property
     def full_size(self) -> int:
@@ -218,8 +220,16 @@ class BatchJpg:
     @property
     def base_frames(self) -> FrameMemory:
         """The parsed base configuration (treat as read-only; clone before
-        mutating).  Long-lived services fingerprint this for cache keys."""
+        mutating)."""
         return self._base_frames
+
+    @property
+    def base_key(self) -> str:
+        """Content key of the base configuration (its
+        :func:`~repro.batch.cache.fingerprint`), computed once per engine.
+        Every item's first region clear and the service's partial-cache
+        keys use it."""
+        return self._base_key
 
     # -- planning -----------------------------------------------------------
 
@@ -333,6 +343,7 @@ class BatchJpg:
                     self._base_frames,
                     base_design=self.base_design,
                     frame_cache=self.cache,
+                    base_key=self._base_key,
                 )
                 ucf = item.ucf
                 if isinstance(ucf, str):

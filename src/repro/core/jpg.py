@@ -103,12 +103,20 @@ class Jpg:
         base_design: NcdDesign | None = None,
         *,
         frame_cache: FrameCache | None = None,
+        base_key: str | None = None,
     ):
         """``frame_cache`` shares cleared-region work between instances
-        generating against the same base (see :mod:`repro.batch.cache`)."""
+        generating against the same base (see :mod:`repro.batch.cache`).
+        ``base_key`` is that cache's key for ``base_bitstream``, when the
+        caller already holds it (:attr:`repro.batch.engine.BatchJpg.base_key`):
+        the first :meth:`make_partial` clears under it instead of hashing
+        the base again."""
         self.part = part
         self.jbits = JBits(part)
         self.frame_cache = frame_cache
+        # the frame-cache key of the frames while they are still the base;
+        # the first make_partial to get past verification takes it
+        self._base_key = base_key
         metrics = current_metrics()
         with metrics.stage("jpg.init_base", part=part):
             self.jbits.read(base_bitstream)
@@ -162,11 +170,14 @@ class Jpg:
             if opts.check_interface and self.base_design is not None:
                 raise_on_interface_mismatch(self.base_design, design)
 
+        # from here on the frames change, so the base key no longer holds
+        base_key, self._base_key = self._base_key, None
+
         # 1. clear the floorplanned region so stale logic cannot survive
         if opts.clear_region and region is not None:
             with metrics.stage("jpg.clear_region", module=design.name,
                                region=region.to_ucf()):
-                self._clear_region(region)
+                self._clear_region(region, base_key)
 
         # 2. replay the module's implementation onto the configuration
         with metrics.stage("jpg.replay", module=design.name):
@@ -224,20 +235,23 @@ class Jpg:
 
     # -- helpers ------------------------------------------------------------------------------
 
-    def _clear_region(self, region: RegionRect) -> None:
+    def _clear_region(self, region: RegionRect, base_key: str | None) -> None:
         """Zero the region's tiles, dirtying the frames that change.
 
         With a :class:`~repro.batch.cache.FrameCache` attached, the cleared
         state is keyed by (current configuration content, region footprint)
         and shared: every later clear of the same region on the same base
-        restores the cached frames instead of re-zeroing tile by tile.
+        restores the cached frames instead of re-zeroing tile by tile.  The
+        content key is ``base_key`` when the caller knows the current
+        frames are still the base, else a fresh hash of them.
         """
         if self.frame_cache is None:
             for r, c in region.sites():
                 self.jbits.clear_tile(r, c)
             return
 
-        base_key = self.frame_cache.base_key(self.frames)
+        if base_key is None:
+            base_key = self.frame_cache.base_key(self.frames)
 
         def compute() -> tuple[FrameMemory, frozenset[int]]:
             prev = set(self.jbits.dirty_frames)

@@ -342,6 +342,16 @@ def pips_by_src() -> dict[int, tuple[tuple[int, int, PipDef], ...]]:
     return {k: tuple(v) for k, v in out.items()}
 
 
+def _pips_by_names() -> dict[tuple[str, str], PipDef]:
+    out: dict[tuple[str, str], PipDef] = {}
+    for p in PIP_TABLE:
+        out.setdefault((p.src_name, p.dst_name), p)  # the first match wins
+    return out
+
+
+_PIP_BY_NAMES = _pips_by_names()
+
+
 def pip_by_wires(src_name: str, dst_name: str) -> PipDef:
     """Find the local-pattern PIP connecting two wire names (for XDL I/O).
 
@@ -350,8 +360,9 @@ def pip_by_wires(src_name: str, dst_name: str) -> PipDef:
     name alone identifies it because each (src, dst) name pair occurs at
     most once in the pattern).
     """
-    si, di = wire_index(src_name), wire_index(dst_name)
-    for p in PIP_TABLE:
-        if p.src[2] == si and p.dst == di:
-            return p
-    raise DeviceError(f"no PIP {src_name} -> {dst_name} in the tile pattern")
+    pip = _PIP_BY_NAMES.get((src_name, dst_name))
+    if pip is None:
+        wire_index(src_name)  # an unknown wire name raises, naming it
+        wire_index(dst_name)
+        raise DeviceError(f"no PIP {src_name} -> {dst_name} in the tile pattern")
+    return pip

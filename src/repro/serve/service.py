@@ -27,7 +27,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from ..batch.cache import FrameCache, fingerprint
+from ..batch.cache import FrameCache
 from ..batch.engine import BatchItem, BatchJpg
 from ..bitstream.bitfile import BitFile
 from ..bitstream.frames import FrameMemory
@@ -167,8 +167,6 @@ class GenerationService:
             )
         self.part = part
         self.base_design = base_design
-        #: content key of the base configuration every request generates against
-        self.base_key = fingerprint(self.engine.base_frames)
         self.peer_fetch = peer_fetch
         self._session = (
             ReconfigSession(xhwif, policy=retry) if xhwif is not None else None
@@ -183,6 +181,12 @@ class GenerationService:
                         if sanctioned is not None else None),
                 sanctioned=sanctioned,
             )
+
+    @property
+    def base_key(self) -> str:
+        """Content key of the base configuration every request generates
+        against (hashed once, by the engine)."""
+        return self.engine.base_key
 
     @property
     def full_size(self) -> int:

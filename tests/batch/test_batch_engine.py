@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.batch import BatchItem, BatchJpg, FrameCache, items_from_project
+from repro.batch import BatchItem, BatchJpg, FrameCache, fingerprint, items_from_project
 from repro.core import Jpg, JpgOptions
 from repro.obs import Metrics
 from repro.ucf import parse_ucf
@@ -151,3 +151,13 @@ class TestRun:
         assert engine.full_size == len(
             Jpg(demo_project.part, demo_project.base_bitfile).full_bitstream()
         )
+
+    def test_base_key_is_the_base_fingerprint(self, engine):
+        assert engine.base_key == fingerprint(engine.base_frames)
+
+    def test_service_reads_the_engine_key(self, demo_project):
+        from repro.serve import GenerationService
+
+        service = GenerationService("XCV50", demo_project.base_bitfile)
+        assert service.base_key == service.engine.base_key
+        assert service.base_key == fingerprint(service.engine.base_frames)

@@ -165,6 +165,46 @@ class TestJpgIntegration:
         assert cache.stats.hits == 0
 
 
+class TestBaseKey:
+    """Jpg(base_key=...): the caller's key serves the first make_partial only."""
+
+    SEQUENCE = [("r1", "down"), ("r2", "right"), ("r1", "up")]
+
+    def run(self, project, **kwargs):
+        jpg = Jpg(project.part, project.base_bitfile, **kwargs)
+        datas = [
+            jpg.make_partial(project.versions[key].design,
+                             region=project.regions[key[0]]).data
+            for key in self.SEQUENCE
+        ]
+        return datas, jpg.full_bitstream()
+
+    def test_reused_jpg_matches_cacheless(self, demo_project):
+        plain = self.run(demo_project)
+        base = Jpg(demo_project.part, demo_project.base_bitfile).frames
+        cache = FrameCache()
+        keyed = self.run(demo_project, frame_cache=cache, base_key=fingerprint(base))
+        assert keyed == plain
+        # only the first clear was keyed by the base: the later two hashed
+        # the merged state, which no earlier entry matches
+        assert cache.stats.misses == 3 and cache.stats.hits == 0
+
+    def test_key_is_dropped_after_a_merge_without_clear(self, demo_project):
+        """A merge with clear_region off still retires the base key."""
+        from repro.core import JpgOptions
+
+        cache = FrameCache()
+        base = Jpg(demo_project.part, demo_project.base_bitfile).frames
+        region = demo_project.regions["r1"]
+        jpg = Jpg(demo_project.part, demo_project.base_bitfile,
+                  frame_cache=cache, base_key=fingerprint(base))
+        jpg.make_partial(demo_project.versions[("r1", "down")].design, region=region,
+                         options=JpgOptions(clear_region=False))
+        merged = fingerprint(jpg.frames)
+        jpg.make_partial(demo_project.versions[("r1", "up")].design, region=region)
+        assert cache.invalidate(merged) == 1
+
+
 class TestPut:
     """put(): seeding entries from process-backend deltas, outside stats."""
 

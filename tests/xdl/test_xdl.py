@@ -127,6 +127,112 @@ class TestParserErrors:
         with pytest.raises(XdlParseError, match="cfg token"):
             _parse_cfg("JUالسTBAD")
 
+    # each malformed input is a typed error naming its line and the text
+
+    SLICE_HEAD = 'design "d" v50 ;\ninst "a" "SLICE", placed R1C1 '
+
+    def assert_error(self, text, needle, line=2):
+        with pytest.raises(XdlParseError) as err:
+            parse_xdl(text)
+        assert err.value.line == line
+        assert needle in str(err.value)
+
+    def test_bad_lut_value(self):
+        self.assert_error(self.SLICE_HEAD + 'CLB_R1C1.S0, cfg "F:a:#LUT:0xZZZZ" ;', "0xZZZZ")
+
+    def test_bad_ff_init(self):
+        self.assert_error(self.SLICE_HEAD + 'CLB_R1C1.S0, cfg "FFX:a:#FF INITX::q" ;', "'q'")
+
+    def test_bad_gclk_index(self):
+        text = ('design "d" v50 ;\n'
+                'inst "g" "GCLK", placed GCLKPAD0 GCLKPAD0, cfg "INDEX::x PORT::clk" ;')
+        self.assert_error(text, "'x'")
+
+    def test_bad_slice_site(self):
+        self.assert_error(self.SLICE_HEAD + 'CLB_RxC1.S0, cfg "" ;', "CLB_RxC1.S0")
+
+    def test_bad_iob_site(self):
+        text = ('design "d" v50 ;\n'
+                'inst "p" "IOB", placed NOPAD NOPAD, cfg "IOMUX::I PORT::p" ;')
+        self.assert_error(text, "NOPAD")
+
+    def test_unknown_pip_wire(self):
+        text = (self.SLICE_HEAD + 'CLB_R1C1.S0, cfg "F:a:#LUT:0x0001" ;\n'
+                'net "n", outpin "a" X,\n  pip R1C1 FOO -> SE0, ;')
+        self.assert_error(text, "FOO", line=4)
+
+    def test_duplicate_inst(self):
+        text = (self.SLICE_HEAD + 'CLB_R1C1.S0, cfg "" ;\n'
+                'inst "a" "SLICE", placed R2C1 CLB_R2C1.S0, cfg "" ;')
+        self.assert_error(text, "duplicate inst 'a'", line=3)
+
+    def test_duplicate_net(self):
+        text = (self.SLICE_HEAD + 'CLB_R1C1.S0, cfg "F:a:#LUT:0x0001" ;\n'
+                'net "n", outpin "a" X, ;\n'
+                'net "n", outpin "a" Y, ;')
+        self.assert_error(text, "duplicate net 'n'", line=4)
+
+    def test_error_reports_its_line(self, counter_flow):
+        """An error on line N of a written source reports line N."""
+        lines = write_xdl(counter_flow.design).splitlines(keepends=True)
+        n = next(i for i, text in enumerate(lines, 1) if " pip " in text)
+        lines[n - 1] = lines[n - 1].replace(" -> ", " -> NOWIRE", 1)
+        with pytest.raises(XdlParseError, match="NOWIRE") as err:
+            parse_xdl("".join(lines))
+        assert err.value.line == n
+
+    def test_truncation_reports_the_last_line(self):
+        self.assert_error('design "d" v50 ;\ninst "a" "SLICE",\n  placed',
+                          "end of XDL input", line=3)
+
+    def test_unclosed_design_statement_fails_fast(self):
+        # one long word and no ';': a backtracking regex would take
+        # exponential time to give up here
+        with pytest.raises(XdlParseError, match="end of XDL input"):
+            parse_xdl('design "d" ' + "v" * 200)
+
+    def test_arrow_does_not_start_a_word(self):
+        self.assert_error(self.SLICE_HEAD + '->CLB_R1C1.S0 CLB_R1C1.S0, cfg "" ;', "placed")
+
+    def test_unterminated_string(self):
+        self.assert_error('design "d" v50 ;\n\ninst "a', "unterminated", line=3)
+
+
+def module_sources(project):
+    """The XDL text of every non-base module version of a project."""
+    return {f"{region}/{version}": mv.xdl
+            for (region, version), mv in project.versions.items() if version != "base"}
+
+
+@pytest.fixture(scope="module")
+def figure4_sources():
+    from repro.workloads import figure4_plan, make_project
+
+    return module_sources(make_project("fig4", "XCV100", figure4_plan("XCV100")))
+
+
+class TestGoldenRoundtrip:
+    """write_xdl(parse_xdl(text)) == text on the workloads' real sources."""
+
+    def test_figure4_sources(self, figure4_sources):
+        assert len(figure4_sources) == 10
+        for name, text in figure4_sources.items():
+            assert write_xdl(parse_xdl(text)) == text, name
+
+    @pytest.mark.slow
+    def test_xcv1000_sources(self):
+        from repro.workloads import make_project, scale_plan
+
+        sources = module_sources(make_project("x1000", "XCV1000", scale_plan("XCV1000")))
+        assert len(sources) == 108
+        for name, text in sources.items():
+            assert write_xdl(parse_xdl(text)) == text, name
+
+    def test_comments_and_spacing_are_separators(self, figure4_sources):
+        text = next(iter(figure4_sources.values()))
+        noisy = "# header\n" + text.replace(",\n", " , # trailing note\n\n")
+        assert write_xdl(parse_xdl(noisy)) == text
+
 
 class TestCfgStrings:
     def test_parse_cfg_triplets(self):
