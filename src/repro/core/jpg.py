@@ -241,13 +241,12 @@ class Jpg:
         With a :class:`~repro.batch.cache.FrameCache` attached, the cleared
         state is keyed by (current configuration content, region footprint)
         and shared: every later clear of the same region on the same base
-        restores the cached frames instead of re-zeroing tile by tile.  The
+        restores the cached frames instead of re-zeroing them.  The
         content key is ``base_key`` when the caller knows the current
         frames are still the base, else a fresh hash of them.
         """
         if self.frame_cache is None:
-            for r, c in region.sites():
-                self.jbits.clear_tile(r, c)
+            self.jbits.clear_region(region)
             return
 
         if base_key is None:
@@ -255,8 +254,7 @@ class Jpg:
 
         def compute() -> tuple[FrameMemory, frozenset[int]]:
             prev = set(self.jbits.dirty_frames)
-            for r, c in region.sites():
-                self.jbits.clear_tile(r, c)
+            self.jbits.clear_region(region)
             added = frozenset(set(self.jbits.dirty_frames) - prev)
             return self.frames.clone(), added
 

@@ -6,12 +6,13 @@ coordinate translations everything else uses:
 
 * tile resource bit -> (linear frame index, bit offset within frame),
 * routing-node encoding for the router (tile, wire) <-> integer id,
-* canonicalization of chip-spanning wires (long lines, global clocks).
+* canonicalization of chip-spanning wires (long lines, global clocks),
+* the routing successor table every router expands nodes from.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from ..errors import DeviceError
 from . import resources, wires
@@ -19,6 +20,9 @@ from .family import PartInfo, part_info
 from .geometry import Geometry, IobSite, Side
 from .resources import BitCoord, pip_coord
 from .wires import NUM_WIRES, WIRE_KIND, WireKind
+
+#: Wire kinds that span the chip and so have one canonical owner tile.
+_SPANNING = (WireKind.LONG_H, WireKind.LONG_V, WireKind.GCLK)
 
 
 class Device:
@@ -123,6 +127,90 @@ class Device:
         r, c = divmod(tile, self.cols)
         return r, c, w
 
+    @cached_property
+    def fanout(self) -> tuple[tuple[tuple[int, int, int, int, int | None], ...], ...]:
+        """Per source wire, the routing PIPs that read it.
+
+        Entry ``w`` lists ``(drow, dcol, dst, pip, delta)`` in
+        :func:`wires.pips_by_src` order: the PIP ``pip`` owned by the tile
+        at offset ``(drow, dcol)`` from the wire's tile drives local wire
+        ``dst`` there.  ``delta`` is the node-id step ``next - node`` when
+        ``dst`` is not chip-spanning (so it does not depend on the tile),
+        else None.  Long lines keep only their local taps, which
+        :meth:`successors` repeats along the whole row or column; global
+        clocks have no entries (dedicated clock routing owns them).
+        """
+        by_src = wires.pips_by_src()
+        table = []
+        for w in range(NUM_WIRES):
+            kind = WIRE_KIND[w]
+            entries = []
+            if kind is not WireKind.GCLK:
+                for drow, dcol, pip in by_src.get(w, ()):
+                    if kind in _SPANNING and (drow or dcol):
+                        continue
+                    delta = None
+                    if WIRE_KIND[pip.dst] not in _SPANNING:
+                        delta = (drow * self.cols + dcol) * NUM_WIRES + pip.dst - w
+                    entries.append((drow, dcol, pip.dst, pip.index, delta))
+            table.append(tuple(entries))
+        return tuple(table)
+
+    @cached_property
+    def interior(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per wire, the box ``(row_lo, row_hi, col_lo, col_hi)`` of tiles
+        where every :attr:`fanout` entry stays on the device and steps by
+        its ``delta``: there a node's successors are ``node + delta`` in
+        table order.  Empty (``row_lo > row_hi``) for chip-spanning wires
+        and wires that drive one."""
+        empty = (0, -1, 0, -1)
+        boxes = []
+        for w, entries in enumerate(self.fanout):
+            if WIRE_KIND[w] in _SPANNING or any(e[4] is None for e in entries):
+                boxes.append(empty)
+                continue
+            drows = [e[0] for e in entries] or [0]
+            dcols = [e[1] for e in entries] or [0]
+            box = (
+                max(0, -min(drows)), self.rows - 1 - max(0, max(drows)),
+                max(0, -min(dcols)), self.cols - 1 - max(0, max(dcols)),
+            )
+            boxes.append(box if box[0] <= box[1] and box[2] <= box[3] else empty)
+        return tuple(boxes)
+
+    def successors(self, node: int) -> list[tuple[int, tuple[int, int, int]]]:
+        """``(next node, (row, col, pip))`` for every routing PIP that
+        reads ``node``, in :attr:`fanout` order.
+
+        A long line is tapped in every tile of its row or column; other
+        wires' PIPs are clipped at the device edge.  This is the generic
+        expansion every router shares; the array router takes the
+        ``node + delta`` shortcut inside :attr:`interior`.
+        """
+        tile, w = divmod(node, NUM_WIRES)
+        r, c = divmod(tile, self.cols)
+        entries = self.fanout[w]
+        node_id = self.node_id
+        kind = WIRE_KIND[w]
+        if kind is WireKind.LONG_H or kind is WireKind.LONG_V:
+            taps = (
+                [(r, col) for col in range(self.cols)] if kind is WireKind.LONG_H
+                else [(row, c) for row in range(self.rows)]
+            )
+            return [
+                (node_id(tr, tc, dst), (tr, tc, pip))
+                for tr, tc in taps
+                for _, _, dst, pip, _ in entries
+            ]
+        rows, cols = self.rows, self.cols
+        out = []
+        for drow, dcol, dst, pip, delta in entries:
+            orow, ocol = r + drow, c + dcol
+            if 0 <= orow < rows and 0 <= ocol < cols:
+                nxt = node_id(orow, ocol, dst) if delta is None else node + delta
+                out.append((nxt, (orow, ocol, pip)))
+        return out
+
     def node_str(self, node: int) -> str:
         """Human-readable node, e.g. ``R3C23.SE2`` (1-based, XDL style)."""
         r, c, w = self.node_of(node)
@@ -137,7 +225,7 @@ class Device:
         if not (0 <= sr < self.rows and 0 <= sc < self.cols):
             # chip-spanning sources are valid anywhere along their span
             kind = WIRE_KIND[pip.src[2]]
-            return kind in (WireKind.LONG_H, WireKind.LONG_V, WireKind.GCLK)
+            return kind in _SPANNING
         return True
 
     def tile_pips(self, row: int, col: int) -> list[wires.PipDef]:

@@ -14,6 +14,12 @@ recorded and bitgen permutes the truth table accordingly (``pin_map``).
 Clock nets do not use the general graph: they ride the dedicated global
 clock lines, activating one ``GCLKg -> Sx_CLK`` PIP per sink slice.
 
+The graph is never materialised per node.  Searches expand a node from
+the device's successor table (:attr:`Device.fanout`, one entry list per
+wire, built once per device): :meth:`Device.successors` is the generic
+expansion, clipping PIPs at the device edge and fanning long lines out
+along their row or column.
+
 Two congestion engines implement the PathFinder state:
 
 * ``engine="array"`` (the default) keeps per-node present usage and
@@ -21,13 +27,14 @@ Two congestion engines implement the PathFinder state:
   list of each node's full cost (``base * (1 + pres_fac*occ) *
   (1 + history)``) maintained incrementally as occupancy changes — A*
   expansion reads one list element per neighbor instead of re-deriving
-  kind/base/occupancy/history per visit.  The overuse sweep and history
-  update at each iteration boundary are single vectorized passes, and
-  per-node adjacency (successor, PIP ref, pin-gating flag) is memoized
-  across searches;
+  kind/base/occupancy/history per visit.  Inside a wire's interior box
+  (:attr:`Device.interior`) a successor is ``node + delta`` and its A*
+  bound comes from the entry's tile offset, so most expansions touch no
+  device method at all.  The overuse sweep and history update at each
+  iteration boundary are single vectorized passes;
 * ``engine="scalar"`` is the reference implementation (dict congestion
-  maps, per-visit cost closure), kept as the validation and benchmark
-  baseline.
+  maps, per-visit cost closure, generic expansion everywhere), kept as
+  the validation and benchmark baseline.
 
 Cost arithmetic is ordered identically in both engines, and the RNG is
 only consumed by the per-iteration net ordering shuffle, so **the same
@@ -62,6 +69,29 @@ ROUTER_ENGINES = ("array", "scalar")
 #: Wire kinds a search may only enter when they are the sink being aimed
 #: for (never route *through* someone's input pin).
 _GATED_KINDS = frozenset((WireKind.PIN_IN, WireKind.IO_OUT))
+#: The same rule by wire index.
+_GATED_WIRE = tuple(WIRE_KIND[w] in _GATED_KINDS for w in range(NUM_WIRES))
+
+
+def _tile_heuristic(tiles: list[tuple[int, int]]):
+    """A* lower bound ``h(row, col)`` towards a sink's candidate tiles.
+
+    Distance is measured to the *nearest* candidate tile; with one tile
+    (the common case — a slice's ``F1..F4`` pins share it) that reduces
+    to the plain Manhattan bound.
+    """
+    if len(tiles) == 1:
+        ((tr, tc),) = tiles
+
+        def h(r: int, c: int) -> float:
+            return (abs(r - tr) + abs(c - tc)) * _ASTAR_PER_TILE
+
+        return h
+
+    def h_min(r: int, c: int) -> float:
+        return min(abs(r - tr) + abs(c - tc) for tr, tc in tiles) * _ASTAR_PER_TILE
+
+    return h_min
 
 
 @dataclass
@@ -125,9 +155,7 @@ class Router:
         }
         # per-wire-index base cost (array engine node cost = _base_w[w])
         self._base_w = [_HOP_COST + WIRE_DELAY_NS[WIRE_KIND[w]] for w in range(NUM_WIRES)]
-        self._pips_by_src = W.pips_by_src()
         self._locked_nodes: set[int] = set()
-        self._adj: dict[int, tuple] = {}   # array engine: memoized adjacency
 
     # -- public -----------------------------------------------------------------
 
@@ -285,72 +313,22 @@ class Router:
         net.pips = pips
         net.routed = True
 
-    # -- graph expansion ------------------------------------------------------------------
-
-    def _neighbors(self, node: int):
-        """Yield (next node, pip ref (r, c, index)) for all outgoing PIPs."""
-        dev = self.device
-        r, c, w = dev.node_of(node)
-        kind = WIRE_KIND[w]
-        fanout = self._pips_by_src.get(w, ())
-        if kind is WireKind.LONG_H:
-            for col in range(dev.cols):
-                for odr, odc, pip in fanout:
-                    if odr == 0 and odc == 0:
-                        yield dev.node_id(r, col, pip.dst), (r, col, pip.index)
-            return
-        if kind is WireKind.LONG_V:
-            for row in range(dev.rows):
-                for odr, odc, pip in fanout:
-                    if odr == 0 and odc == 0:
-                        yield dev.node_id(row, c, pip.dst), (row, c, pip.index)
-            return
-        if kind is WireKind.GCLK:
-            return  # clock lines are handled by _route_clock
-        for odr, odc, pip in fanout:
-            orow, ocol = r + odr, c + odc
-            if 0 <= orow < dev.rows and 0 <= ocol < dev.cols:
-                yield dev.node_id(orow, ocol, pip.dst), (orow, ocol, pip.index)
-
-    def _adjacency(self, node: int) -> tuple:
-        """Memoized successor tuple for the array engine's A* expansion.
-
-        Each entry is ``(next node, pip ref, gated)`` where ``gated``
-        pre-answers "is this a pin wire a search may only enter as its
-        own sink?" — the per-visit kind lookup the scalar engine repeats.
-        """
-        entries = tuple(
-            (nxt, pip_ref, WIRE_KIND[nxt % NUM_WIRES] in _GATED_KINDS)
-            for nxt, pip_ref in self._neighbors(node)
-        )
-        self._adj[node] = entries
-        return entries
-
     # -- PathFinder ------------------------------------------------------------------------
 
-    def _sink_heuristic(self, candidates: tuple[int, ...]):
-        """Admissible A* lower bound for one sink's candidate set.
-
-        Distance is measured to the *nearest* candidate tile; with one
-        tile (the common case — a slice's ``F1..F4`` pins share it) that
-        reduces to the plain Manhattan bound.
-        """
+    def _sink_tiles(self, candidates: tuple[int, ...]) -> list[tuple[int, int]]:
+        """The distinct tiles of one sink's candidate nodes, sorted."""
         node_of = self.device.node_of
-        tiles = sorted({node_of(c)[:2] for c in candidates})
-        if len(tiles) == 1:
-            ((tr, tc),) = tiles
+        return sorted({node_of(c)[:2] for c in candidates})
 
-            def h(node: int) -> float:
-                r, c, _ = node_of(node)
-                return (abs(r - tr) + abs(c - tc)) * _ASTAR_PER_TILE
+    def _sink_heuristic(self, candidates: tuple[int, ...]):
+        """Admissible A* lower bound for one sink's candidate set, as a
+        function of a node (see :func:`_tile_heuristic`)."""
+        node_of = self.device.node_of
+        h_tile = _tile_heuristic(self._sink_tiles(candidates))
 
-        else:
-
-            def h(node: int) -> float:
-                r, c, _ = node_of(node)
-                return min(
-                    abs(r - tr) + abs(c - tc) for tr, tc in tiles
-                ) * _ASTAR_PER_TILE
+        def h(node: int) -> float:
+            r, c, _ = node_of(node)
+            return h_tile(r, c)
 
         return h
 
@@ -420,7 +398,7 @@ class Router:
         num_nodes = self.device.num_nodes
         present = np.zeros(num_nodes, np.int64)
         history = np.zeros(num_nodes, np.float64)
-        cost = np.tile(np.asarray(self._base_w), num_nodes // NUM_WIRES).tolist()
+        cost = self._base_w * (num_nodes // NUM_WIRES)
         pres_fac = self.pres_fac_first
 
         order = list(range(len(tasks)))
@@ -529,7 +507,7 @@ class Router:
                 if node in cand_set:
                     found = node
                     break
-                for nxt, pip_ref in self._neighbors(node):
+                for nxt, pip_ref in dev.successors(node):
                     if nxt in self._locked_nodes:
                         continue  # wire owned by a guide-adopted route
                     kind = WIRE_KIND[dev.node_of(nxt)[2]]
@@ -577,10 +555,14 @@ class Router:
         history: np.ndarray,
     ) -> None:
         """Array-engine twin of :meth:`_route_net`: same search, but the
-        per-neighbor cost is one ``cost`` list read and the expansion walks
-        the memoized adjacency tuples instead of re-deriving them."""
-        adj = self._adj
-        adjacency = self._adjacency
+        per-neighbor cost is one ``cost`` list read, and a node inside its
+        wire's interior box expands as ``node + delta`` over the device's
+        successor table with the A* bound taken from the entry's tile
+        offset.  Other nodes go through :meth:`Device.successors`."""
+        dev = self.device
+        cols = dev.cols
+        fanout, interior, successors = dev.fanout, dev.interior, dev.successors
+        gated_wire = _GATED_WIRE
         locked = self._locked_nodes
         base_w = self._base_w
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -598,14 +580,18 @@ class Router:
                     f"net {task.net.name}: no free pin candidate left for "
                     f"{sink.ref.comp}.{sink.ref.pin}"
                 )
-            h = self._sink_heuristic(candidates)
+            tiles = self._sink_tiles(candidates)
+            h = _tile_heuristic(tiles)
+            single = len(tiles) == 1   # inline the bound for the common case
+            tr, tc = tiles[0]
             dist: dict[int, float] = {}
             dist_get = dist.get
             came: dict[int, tuple[int, tuple[int, int, int]]] = {}
             heap: list[tuple[float, float, int]] = []
             for n in tree:
                 dist[n] = 0.0
-                heappush(heap, (h(n), 0.0, n))
+                r, c = divmod(n // NUM_WIRES, cols)
+                heappush(heap, (h(r, c), 0.0, n))
             self.stats.searches += 1
             found = None
             while heap:
@@ -616,19 +602,38 @@ class Router:
                 if node in cand_set:
                     found = node
                     break
-                nbrs = adj.get(node)
-                if nbrs is None:
-                    nbrs = adjacency(node)
-                for nxt, pip_ref, gated in nbrs:
+                tile, w = divmod(node, NUM_WIRES)
+                r, c = divmod(tile, cols)
+                rlo, rhi, clo, chi = interior[w]
+                if rlo <= r <= rhi and clo <= c <= chi:
+                    for drow, dcol, dst, pip, delta in fanout[w]:
+                        nxt = node + delta
+                        if nxt in locked:
+                            continue  # wire owned by a guide-adopted route
+                        if gated_wire[dst] and nxt not in cand_set:
+                            continue  # never route *through* someone's input pin
+                        ng = g + cost[nxt]
+                        if ng < dist_get(nxt, inf):
+                            dist[nxt] = ng
+                            nr, nc = r + drow, c + dcol
+                            came[nxt] = (node, (nr, nc, pip))
+                            if single:
+                                est = (abs(nr - tr) + abs(nc - tc)) * _ASTAR_PER_TILE
+                            else:
+                                est = h(nr, nc)
+                            heappush(heap, (ng + est, ng, nxt))
+                    continue
+                for nxt, pip_ref in successors(node):
                     if nxt in locked:
-                        continue  # wire owned by a guide-adopted route
-                    if gated and nxt not in cand_set:
-                        continue  # never route *through* someone's input pin
+                        continue
+                    if gated_wire[nxt % NUM_WIRES] and nxt not in cand_set:
+                        continue
                     ng = g + cost[nxt]
                     if ng < dist_get(nxt, inf):
                         dist[nxt] = ng
                         came[nxt] = (node, pip_ref)
-                        heappush(heap, (ng + h(nxt), ng, nxt))
+                        nr, nc = divmod(nxt // NUM_WIRES, cols)
+                        heappush(heap, (ng + h(nr, nc), ng, nxt))
             if found is None:
                 self.stats.nodes_popped += pops
                 raise RoutingError(

@@ -15,6 +15,7 @@ exactly why partial bitstreams come out column-shaped.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 from ..bitstream.assembler import full_stream, partial_stream
 from ..bitstream.bitfile import BitFile
@@ -24,6 +25,9 @@ from ..devices import BITS_PER_ROW, Device, Field, IobSite, get_device
 from ..devices.resources import SLICE
 from ..devices.wires import PipDef, pip_by_wires
 from ..errors import JBitsError
+
+if TYPE_CHECKING:
+    from ..flow.floorplan import RegionRect
 
 
 class JBits:
@@ -155,6 +159,27 @@ class JBits:
         self._dirty.update(fm.clear_bit_range(
             base, g.columns[major].frames, off, off + BITS_PER_ROW
         ))
+
+    def clear_region(self, region: RegionRect) -> None:
+        """Zero every configuration bit of a rectangle of CLB tiles.
+
+        Equal, in frames and dirty set, to :meth:`clear_tile` on each of
+        its tiles, but one :meth:`FrameMemory.clear_bit_range` per column:
+        a column's CLB rows are contiguous within its frames.  The whole
+        rectangle is checked against the device first, so a region that
+        reaches past it raises :class:`DeviceError` with no frame changed.
+        """
+        fm = self._require()
+        g = self.device.geometry
+        g.check_tile(region.rmin, region.cmin)
+        g.check_tile(region.rmax, region.cmax)
+        lo = g.row_bit_offset(region.rmin)
+        hi = g.row_bit_offset(region.rmax) + BITS_PER_ROW
+        for col in range(region.cmin, region.cmax + 1):
+            major = g.major_of_clb_col(col)
+            self._dirty.update(fm.clear_bit_range(
+                g.frame_base(major), g.columns[major].frames, lo, hi
+            ))
 
     # -- convenience (mirrors common JBits idioms) ------------------------------------
 

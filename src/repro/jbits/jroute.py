@@ -5,8 +5,9 @@ time, directly in the bitstream, respecting whatever routing the current
 configuration already uses.  :class:`JRoute` is that capability here:
 
 * decode the occupied routing resources from the loaded frames,
-* A*-search the device's PIP graph for a path from a source wire to each
-  sink wire, avoiding wires that already carry signals,
+* A*-search the device's PIP graph (:meth:`Device.successors`) for a
+  path from a source wire to each sink wire, avoiding wires that already
+  carry signals,
 * turn the winning PIPs on through the owning :class:`JBits` instance —
   so dirty-frame tracking keeps working and the edit ships as a normal
   partial bitstream.
@@ -60,7 +61,6 @@ class JRoute:
     def __init__(self, jbits: JBits):
         self.jbits = jbits
         self.device = jbits.device
-        self._pips_by_src = W.pips_by_src()
         self._occupied: dict[int, tuple[int, int, int]] = {}
         self._scan()
 
@@ -151,7 +151,7 @@ class JRoute:
                 if node == sink_node:
                     found = node
                     break
-                for nxt, pip_ref in self._neighbors(node):
+                for nxt, pip_ref in dev.successors(node):
                     if nxt in self._occupied and nxt not in tree:
                         continue  # wire in use by the existing configuration
                     kind = WIRE_KIND[dev.node_of(nxt)[2]]
@@ -186,30 +186,6 @@ class JRoute:
             self._occupied[node] = pip_ref
         return RouteResult(source, list(sinks), sorted(set(new_pips)), delays)
 
-    def _neighbors(self, node: int):
-        dev = self.device
-        r, c, w = dev.node_of(node)
-        kind = WIRE_KIND[w]
-        fanout = self._pips_by_src.get(w, ())
-        if kind is WireKind.LONG_H:
-            for col in range(dev.cols):
-                for odr, odc, pip in fanout:
-                    if odr == 0 and odc == 0:
-                        yield dev.node_id(r, col, pip.dst), (r, col, pip.index)
-            return
-        if kind is WireKind.LONG_V:
-            for row in range(dev.rows):
-                for odr, odc, pip in fanout:
-                    if odr == 0 and odc == 0:
-                        yield dev.node_id(row, c, pip.dst), (row, c, pip.index)
-            return
-        if kind is WireKind.GCLK:
-            return  # global clocks are dedicated; not routable through JRoute
-        for odr, odc, pip in fanout:
-            orow, ocol = r + odr, c + odc
-            if 0 <= orow < dev.rows and 0 <= ocol < dev.cols:
-                yield dev.node_id(orow, ocol, pip.dst), (orow, ocol, pip.index)
-
     # -- unrouting ---------------------------------------------------------------------
 
     def unroute(self, source: str) -> int:
@@ -225,7 +201,7 @@ class JRoute:
         frontier = [start]
         while frontier:
             node = frontier.pop()
-            for nxt, (pr, pc, pidx) in self._neighbors(node):
+            for nxt, (pr, pc, pidx) in dev.successors(node):
                 if self._occupied.get(nxt) == (pr, pc, pidx) and self.jbits.get_pip(pr, pc, pidx):
                     self.jbits.set_pip(pr, pc, pidx, 0)
                     del self._occupied[nxt]

@@ -142,6 +142,33 @@ class TestClearingSemantics:
         loaded = BitFile.load(path)
         assert loaded.config_bytes == result.data
 
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "frame-cache"])
+    def test_region_past_device_leaves_state_untouched(self, project, cached):
+        """A target region that reaches past the device raises before any
+        frame is cleared, so the next partial from the same tool is
+        byte-identical to a fresh tool's."""
+        from repro.batch.cache import FrameCache
+        from repro.errors import DeviceError
+        from repro.flow.floorplan import RegionRect
+
+        cache = FrameCache() if cached else None
+        jpg = Jpg(project.part, project.base_bitfile,
+                  base_design=project.base_flow.design, frame_cache=cache)
+        region = project.regions["r1"]
+        too_tall = RegionRect(region.rmin, region.cmin,
+                              jpg.jbits.device.rows + 5, region.cmax)
+        mv = project.versions[("r1", "down")]
+        before, dirty = jpg.frames.data.copy(), jpg.jbits.dirty_frames
+        with pytest.raises(DeviceError):
+            jpg.make_partial(mv.design, region=too_tall)
+        assert (jpg.frames.data == before).all()
+        assert jpg.jbits.dirty_frames == dirty
+
+        result = jpg.make_partial(mv.design, region=region)
+        expected = fresh_jpg(project).make_partial(mv.design, region=region)
+        assert result.data == expected.data
+        assert result.frames == expected.frames
+
 
 class TestDownload:
     def test_download_to_board(self, project):
