@@ -409,6 +409,16 @@ class Geometry:
                     sites.append(IobSite(side, c, i))
         return tuple(sites)
 
+    @cached_property
+    def iob_site_index(self) -> dict[IobSite, int]:
+        """Position of each site in :attr:`iob_sites`."""
+        return {site: k for k, site in enumerate(self.iob_sites)}
+
+    @cached_property
+    def iob_site_tiles(self) -> tuple[tuple[int, int], ...]:
+        """:meth:`iob_tile` of each site in :attr:`iob_sites`, in order."""
+        return tuple(self.iob_tile(site) for site in self.iob_sites)
+
     def iob_tile(self, site: IobSite) -> tuple[int, int]:
         """Fabric tile an IOB site injects into / taps from."""
         if site.side is Side.LEFT:

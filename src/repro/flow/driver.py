@@ -3,14 +3,13 @@
 ``run_flow`` takes a logical netlist through mapping, packing, placement
 and routing, returning the finished :class:`NcdDesign` plus per-phase
 runtimes and statistics — the numbers the paper's P&R-time argument is
-about.  The input netlist is deep-copied, so callers can re-run the flow
-with different constraints (the phase-2 module re-implementation of JPG's
-methodology).
+about.  The flow works on a :meth:`Netlist.copy`, so callers can re-run
+the flow with different constraints (the phase-2 module re-implementation
+of JPG's methodology).
 """
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 
@@ -68,7 +67,7 @@ def run_flow(
     ``engine`` selects the placer/router cost engine (``"array"`` or
     ``"scalar"``); both produce identical results for a given seed.
     """
-    netlist = copy.deepcopy(netlist)
+    netlist = netlist.copy()
     times: dict[str, float] = {}
     metrics = current_metrics()
 

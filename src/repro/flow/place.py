@@ -20,23 +20,34 @@ place-and-route.
 
 Two cost engines implement the inner loop:
 
-* ``engine="array"`` (the default) keeps component tile positions and
-  per-net HPWL costs in flat arrays with a CSR net→terms index built
-  once per run.  Every move's affected-net working set (gather indices,
-  reduceat boundaries, per-net term tuples) is precomputed per component,
-  so evaluating a move is pure coordinate lookups: wide unions gather the
-  term coordinates in one fancy-indexing pass and reduce them with
-  ``np.minimum.reduceat`` / ``np.maximum.reduceat``, narrow ones walk the
-  precomputed indices directly — neither path re-resolves component
-  objects or net membership the way the scalar engine does per term;
+* ``engine="array"`` (the default) runs one integer-indexed move loop
+  (:meth:`Placer._array_moves`).  A slice site is the integer
+  ``(r*cols + c)*2 + s`` and an IOB site its index in
+  ``geometry.iob_sites`` (with precomputed tile rows and columns);
+  occupancy maps site codes to component indices, region bounds are
+  plain tuples and prohibited tiles an int set, all bound to locals.
+  Component tiles and per-net HPWL costs live in flat lists with a CSR
+  net→terms index built once per run, and every move's affected-net
+  working set (two-term pairs, ``itemgetter``\\ s over wider nets, numpy
+  gather indices and reduceat boundaries for wide unions) is precomputed
+  per component.  A move therefore costs its draws plus the delta it
+  computes.  Sites turn back into tuples and :class:`IobSite` objects
+  once, before the placement is committed;
 * ``engine="scalar"`` is the reference implementation (per-net python
-  loops over ``net_terms``), kept as the validation and benchmark
-  baseline.
+  loops over ``net_terms``, dataclass states and tuple-keyed occupancy),
+  kept as the validation oracle.
 
-Both engines draw from the seeded RNG in exactly the same order and
-compute bit-identical (integer) HPWL deltas, so **the same seed produces
-the same placement on either engine** — the equivalence suite in
-``tests/flow/test_vectorized.py`` asserts this site-for-site.
+Both engines draw from :class:`~repro.utils.RngStream`, which replays
+``np.random.default_rng(seed)`` bit for bit from raw PCG64 words (numpy's
+32-bit half-word buffering, Lemire bounded integers with numpy's rejection
+threshold, 53-bit doubles) at a fraction of a ``Generator`` call's cost.
+They draw in exactly the same order and compute bit-identical (integer)
+HPWL deltas, so **the same seed produces the same placement on either
+engine, and the same placement the numpy-generator placer produced** —
+the equivalence suite in ``tests/flow/test_vectorized.py`` asserts the
+first site-for-site, and the golden digests in
+``tests/flow/test_place_golden.py`` (recorded before the stream and the
+integer loop existed) pin sites, move counts and final cost.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,7 +63,7 @@ from ..devices import Device, IobSite, get_device, parse_slice_site
 from ..devices.geometry import NUM_GCLK
 from ..errors import PlacementError
 from ..obs import current_metrics
-from ..utils import make_rng
+from ..utils import RngStream
 from .floorplan import Constraints, RegionRect, full_device_region
 from .ncd import NcdDesign, SliceComp
 
@@ -104,8 +116,10 @@ class Placer:
         self.device: Device = get_device(design.part)
         self.constraints = constraints or Constraints()
         self.constraints.validate(self.device)
+        if not math.isfinite(effort):
+            raise PlacementError(f"placer effort must be finite, got {effort!r}")
         self.guide = guide
-        self.rng = make_rng(seed)
+        self.rng = RngStream(seed)
         self.effort = max(0.1, effort)
         self.engine = engine
         self.stats = PlacementStats()
@@ -121,6 +135,8 @@ class Placer:
         if self.engine == "array":
             self._build_arrays()
         self._anneal()
+        if self.engine == "array":
+            self._sync_sites()
         self._commit()
         self.stats.seconds = time.perf_counter() - t0
         m = current_metrics()
@@ -278,10 +294,20 @@ class Placer:
           component pair on first use).
 
         Costs are integer HPWLs, so the array engine's deltas are exactly
-        the scalar engine's.
+        the scalar engine's.  The move loop's own state is integer-indexed
+        too (see :meth:`_array_moves`):
+
+        * ``_site[i]``: slice site ``(r*cols + c)*2 + s``, or the index of
+          an IOB site in ``geometry.iob_sites`` (``-1`` for a fixed
+          component off the drawable sites — it can never be displaced);
+        * ``_slice_occ``/``_iob_occ``: site code -> component index;
+        * ``_bounds[i]``: the clipped region as half-open
+          ``(rmin, rmax + 1, cmin, cmax + 1)`` draw bounds;
+        * ``_prohibited``: prohibited tiles as ``r*cols + c``.
         """
         names = list(self.comps)
-        self._comp_idx = {n: i for i, n in enumerate(names)}
+        comp_idx = {n: i for i, n in enumerate(names)}
+        self._build_sites(names)
         n = len(names)
         rows = np.empty(n, np.int64)
         cols = np.empty(n, np.int64)
@@ -296,7 +322,7 @@ class Placer:
         ptr = [0]
         flat: list[int] = []
         for nm in net_names:
-            flat.extend(self._comp_idx[t] for t in self.net_terms[nm])
+            flat.extend(comp_idx[t] for t in self.net_terms[nm])
             ptr.append(len(flat))
         self._net_ptr = np.asarray(ptr, np.int64)
         self._net_flat = np.asarray(flat, np.int64)
@@ -316,43 +342,96 @@ class Placer:
         self._dirty: list[int] | None = []
         self._dirty_cap = max(64, n)  # not-a-frame-count
 
+    def _build_sites(self, names: list[str]) -> None:
+        """Integer site codes, occupancy and draw bounds for the move loop."""
+        dev = self.device
+        rows, cols = dev.rows, dev.cols
+        iob_code = dev.geometry.iob_site_index
+        self._iob_rows = [r for r, _ in dev.geometry.iob_site_tiles]
+        self._iob_cols = [c for _, c in dev.geometry.iob_site_tiles]
+        self._prohibited = {r * cols + c for r, c in self.constraints.prohibited}
+        self._site: list[int] = []
+        self._is_iob: list[bool] = []
+        self._fixed: list[bool] = []
+        self._bounds: list[tuple[int, int, int, int] | None] = []
+        self._slice_occ: dict[int, int] = {}
+        self._iob_occ: dict[int, int] = {}
+        clipped: dict[RegionRect, tuple[int, int, int, int]] = {}
+        for i, name in enumerate(names):
+            state = self.comps[name]
+            if state.is_iob:
+                code = iob_code.get(state.site, -1)
+                occ, bounds = self._iob_occ, None
+            else:
+                r, c, s = state.site
+                on_device = 0 <= r < rows and 0 <= c < cols and s in (0, 1)
+                code = (r * cols + c) * 2 + s if on_device else -1
+                occ = self._slice_occ
+                bounds = clipped.get(state.region)
+                if bounds is None:
+                    reg = state.region.clip_to(dev)
+                    bounds = clipped[state.region] = (
+                        reg.rmin, reg.rmax + 1, reg.cmin, reg.cmax + 1
+                    )
+            if code >= 0:
+                occ[code] = i
+            self._site.append(code)
+            self._is_iob.append(state.is_iob)
+            self._fixed.append(state.fixed)
+            self._bounds.append(bounds)
+        self._movable = [i for i, fixed in enumerate(self._fixed) if not fixed]
+
+    def _sync_sites(self) -> None:
+        """Write the move loop's integer sites back to the component states."""
+        iob_sites = self.device.geometry.iob_sites
+        cols = self.device.cols
+        names = list(self.comps)
+        for i in self._movable:
+            state = self.comps[names[i]]
+            code = self._site[i]
+            if state.is_iob:
+                state.site = iob_sites[code]
+            else:
+                tile, s = divmod(code, 2)
+                state.site = (*divmod(tile, cols), s)
+
     def _gather_plan(self, nets: np.ndarray) -> tuple:
         """Precomputed working set for evaluating a set of nets.
 
-        Returns ``(nids, terms_by_net, flat, bounds, vectorize)``: ``nids``
-        are the net ids (for cost-cache reads/writes), ``terms_by_net``
-        holds each net's term component indices for the python path,
-        ``flat``/``bounds`` feed the numpy gather + reduceat path, and
-        ``vectorize`` picks between the paths by total term count.
+        Returns ``(nids, pairs, getters, flat, bounds, vectorize)``.
+        ``nids`` are the net ids (for cost-cache reads/writes), two-term
+        nets first.  The python path reads ``pairs`` (the two term
+        component indices of each two-term net) and ``getters`` (an
+        ``itemgetter`` over the terms of each wider net), in ``nids``
+        order.  ``flat``/``bounds`` feed the numpy gather + reduceat path,
+        and ``vectorize`` picks between the paths by total term count.
         """
         if nets.size == 0:
-            return (), (), None, None, False
-        starts = self._net_ptr[nets].tolist()
-        ends = self._net_ptr[nets + 1].tolist()
+            return (), (), (), None, None, False
+        ptr = self._net_ptr
+        sizes = ptr[nets + 1] - ptr[nets]
+        nets = np.concatenate([nets[sizes == 2], nets[sizes != 2]])
+        starts = ptr[nets].tolist()
+        ends = ptr[nets + 1].tolist()
         flat = np.concatenate(
             [self._net_flat[s:e] for s, e in zip(starts, ends)]
         )
         bounds = np.zeros(nets.size, np.int64)
-        np.cumsum((self._net_ptr[nets + 1] - self._net_ptr[nets])[:-1], out=bounds[1:])
-        terms_by_net = tuple(
-            tuple(self._net_flat[s:e].tolist()) for s, e in zip(starts, ends)
-        )
+        np.cumsum((ptr[nets + 1] - ptr[nets])[:-1], out=bounds[1:])
+        terms = [self._net_flat[s:e].tolist() for s, e in zip(starts, ends)]
         return (
-            tuple(nets.tolist()), terms_by_net, flat, bounds,
-            flat.size >= self._VEC_THRESHOLD,
+            tuple(nets.tolist()),
+            tuple(tuple(t) for t in terms if len(t) == 2),
+            tuple(itemgetter(*t) for t in terms if len(t) != 2),
+            flat, bounds, flat.size >= self._VEC_THRESHOLD,
         )
 
-    def _affected_plan(self, i: int, j: int | None) -> tuple:
-        """Gather plan for the union of two components' incident nets."""
-        if j is None:
-            return self._aff_single[i]
-        key = (i, j) if i < j else (j, i)
-        plan = self._aff_pairs.get(key)
-        if plan is None:
-            plan = self._gather_plan(
-                np.union1d(self._comp_nets[key[0]], self._comp_nets[key[1]])
-            )
-            self._aff_pairs[key] = plan
+    def _pair_plan(self, key: tuple[int, int]) -> tuple:
+        """Gather plan for the union of two components' incident nets,
+        memoized in ``_aff_pairs`` under ``key`` (lower index first)."""
+        plan = self._aff_pairs[key] = self._gather_plan(
+            np.union1d(self._comp_nets[key[0]], self._comp_nets[key[1]])
+        )
         return plan
 
     def _mark_dirty(self, i: int) -> None:
@@ -398,9 +477,7 @@ class Placer:
         if self.engine == "array":
             if self._net_costs:
                 self._flush_coords()
-                _, _, flat, bounds, _ = self._gather_plan(
-                    np.arange(len(self._net_costs), dtype=np.int64)
-                )
+                flat, bounds = self._net_flat, self._net_ptr[:-1]
                 r = self._rows[flat]
                 c = self._cols[flat]
                 costs = (
@@ -423,30 +500,29 @@ class Placer:
             self.stats.final_cost = cost
             return
 
-        try_move = (
-            self._try_move_array if self.engine == "array" else self._try_move
-        )
+        if self.engine == "array":
+            moves = self._array_moves
+        else:
+            def moves(count: int, temperature: float, dry: bool = False) -> list:
+                out = []
+                for _ in range(count):
+                    d = self._try_move(movable, temperature, dry)
+                    if d is not None:
+                        out.append(d)
+                return out
         # temperature from the spread of a random-move sample
-        deltas = []
-        for _ in range(min(50, 10 * len(movable))):
-            d = try_move(movable, temperature=math.inf, dry=True)
-            if d is not None:
-                deltas.append(abs(d))
+        deltas = [abs(d) for d in moves(min(50, 10 * len(movable)), math.inf, dry=True)]
         temp = 2.0 * (float(np.std(deltas)) + 1.0) if deltas else 1.0
 
         inner = max(20, int(self.effort * 12 * len(movable)))
         stall = 0
         while stall < 4 and temp > 1e-3:
-            accepted = 0
-            for _ in range(inner):
-                d = try_move(movable, temp)
-                self.stats.moves_attempted += 1
-                if d is not None:
-                    accepted += 1
-                    cost += d
-                    self.stats.moves_accepted += 1
+            accepted = moves(inner, temp)
+            self.stats.moves_attempted += inner
+            self.stats.moves_accepted += len(accepted)
+            cost += sum(accepted)
             self.stats.temperatures += 1
-            ratio = accepted / inner
+            ratio = len(accepted) / inner
             stall = stall + 1 if ratio < 0.02 else 0
             # VPR-style adaptive cooling: cool slowly near 44% acceptance
             if ratio > 0.96:
@@ -520,86 +596,134 @@ class Placer:
         self._relocate(state, old_site, other, target)
         return delta if dry and accept else None
 
-    def _try_move_array(self, movable: list[_CompState], temperature: float, dry: bool = False):
-        """Propose one move (array engine); returns the accepted delta or None.
+    def _array_moves(self, count: int, temperature: float, dry: bool = False) -> list:
+        """Attempt ``count`` moves (array engine); return each accepted delta.
 
-        The move is evaluated on hypothetically-patched coordinate lists;
-        occupancy and component state are only touched (one ``_relocate``)
-        when the move is actually committed, so rejected proposals cost no
-        dictionary churn at all.
+        Move for move this is the scalar engine's ``_propose`` + ``_accept``
+        — the same draws in the same order, the same legality checks, the
+        same Metropolis rule — but over integer site codes and index lists
+        (see :meth:`_build_arrays`), with all state bound to locals.  A move
+        is evaluated on hypothetically-patched coordinate lists; occupancy
+        and sites change only when it is committed.  ``dry`` evaluates
+        without committing (the temperature sample).
         """
-        proposal = self._propose(movable)
-        if proposal is None:
-            return None
-        state, target, other = proposal
-
-        i = self._comp_idx[state.name]
-        j = self._comp_idx[other.name] if other is not None else None
-        nids, terms_by_net, flat, bounds, vectorize = self._affected_plan(i, j)
-        costs = self._net_costs
-        before = 0
-        for nid in nids:
-            before += costs[nid]
-
+        integers, random, exp = self.rng.integers, self.rng.random, math.exp
+        movable = self._movable
+        n_movable = len(movable)
+        is_iob, fixed, bounds, site = self._is_iob, self._fixed, self._bounds, self._site
+        slice_occ, iob_occ = self._slice_occ, self._iob_occ
+        prohibited = self._prohibited
+        cols = self.device.cols
+        iob_rows, iob_cols = self._iob_rows, self._iob_cols
+        n_iob = len(iob_rows)
         rows_l, cols_l = self._rows_l, self._cols_l
-        old_r, old_c = rows_l[i], cols_l[i]
-        if state.is_iob:
-            new_r, new_c = self.device.geometry.iob_tile(target)
-        else:
-            new_r, new_c = target[0], target[1]
-        rows_l[i], cols_l[i] = new_r, new_c
-        if j is not None:
-            # the displaced comp swaps into state's old tile
-            j_r, j_c = rows_l[j], cols_l[j]
-            rows_l[j], cols_l[j] = old_r, old_c
+        aff_single, aff_pairs = self._aff_single, self._aff_pairs
+        costs = self._net_costs
+        mark_dirty = self._mark_dirty
+        accepted = []
+        for _ in range(count):
+            # -- propose
+            i = movable[integers(n_movable)]
+            if is_iob[i]:
+                target = integers(n_iob)
+                new_r, new_c = iob_rows[target], iob_cols[target]
+                occ = iob_occ
+            else:
+                rlo, rhi, clo, chi = bounds[i]
+                for _attempt in range(8):
+                    new_r = integers(rlo, rhi)
+                    new_c = integers(clo, chi)
+                    tile = new_r * cols + new_c
+                    if tile not in prohibited:
+                        target = tile * 2 + integers(2)
+                        break
+                else:
+                    continue
+                occ = slice_occ
+            j = occ.get(target, -1)
+            if j == i:
+                continue
+            old_r, old_c = rows_l[i], cols_l[i]
+            if j < 0:
+                plan = aff_single[i]
+            else:
+                if fixed[j]:
+                    continue
+                if not is_iob[j]:
+                    # the displaced comp must be allowed at our current site
+                    rlo, rhi, clo, chi = bounds[j]
+                    if not (rlo <= old_r < rhi and clo <= old_c < chi):
+                        continue
+                key = (i, j) if i < j else (j, i)
+                plan = aff_pairs.get(key) or self._pair_plan(key)
 
-        if vectorize:
-            self._mark_dirty(i)
-            if j is not None:
-                self._mark_dirty(j)
-            self._flush_coords()
-            r = self._rows[flat]
-            c = self._cols[flat]
-            after_vals = (
-                (np.maximum.reduceat(r, bounds) - np.minimum.reduceat(r, bounds))
-                + (np.maximum.reduceat(c, bounds) - np.minimum.reduceat(c, bounds))
-            ).tolist()
-        else:
-            after_vals = []
-            append = after_vals.append
-            for terms in terms_by_net:
-                if len(terms) == 2:
-                    a, b = terms
+            # -- evaluate
+            nids, pairs, getters, flat, net_bounds, vectorize = plan
+            before = 0
+            for nid in nids:
+                before += costs[nid]
+            rows_l[i], cols_l[i] = new_r, new_c
+            if j >= 0:
+                # the displaced comp swaps into our old tile
+                j_r, j_c = rows_l[j], cols_l[j]
+                rows_l[j], cols_l[j] = old_r, old_c
+            if vectorize:
+                mark_dirty(i)
+                if j >= 0:
+                    mark_dirty(j)
+                self._flush_coords()
+                r = self._rows[flat]
+                c = self._cols[flat]
+                after_vals = (
+                    (np.maximum.reduceat(r, net_bounds) - np.minimum.reduceat(r, net_bounds))
+                    + (np.maximum.reduceat(c, net_bounds) - np.minimum.reduceat(c, net_bounds))
+                ).tolist()
+            else:
+                after_vals = []
+                append = after_vals.append
+                for a, b in pairs:
                     dr = rows_l[a] - rows_l[b]
                     dc = cols_l[a] - cols_l[b]
                     append((dr if dr >= 0 else -dr) + (dc if dc >= 0 else -dc))
-                else:
-                    rs = [rows_l[t] for t in terms]
-                    cs = [cols_l[t] for t in terms]
+                for get in getters:
+                    rs = get(rows_l)
+                    cs = get(cols_l)
                     append(max(rs) - min(rs) + max(cs) - min(cs))
-        after = sum(after_vals)
-        delta = after - before
+            delta = sum(after_vals) - before
 
-        accept = self._accept(delta, temperature)
-        if accept and not dry:
-            self._relocate(state, target, other, state.site)
-            if not vectorize:  # the flush above already synced the mirror
-                self._mark_dirty(i)
-                if j is not None:
-                    self._mark_dirty(j)
-            for nid, v in zip(nids, after_vals):
-                costs[nid] = v
-            return delta
-        # reject (or dry run): restore the hypothetical coordinates
-        rows_l[i], cols_l[i] = old_r, old_c
-        if j is not None:
-            rows_l[j], cols_l[j] = j_r, j_c
-        if vectorize:
-            # the numpy mirror saw the hypothetical values; re-patch it
-            self._mark_dirty(i)
-            if j is not None:
-                self._mark_dirty(j)
-        return delta if dry and accept else None
+            # -- Metropolis; draws only for uphill moves
+            accept = delta <= 0 or (
+                temperature > 0 and random() < exp(-delta / temperature)
+            )
+            if accept and not dry:
+                old = site[i]
+                if j >= 0:
+                    occ[old] = j
+                    site[j] = old
+                    if not vectorize:  # the flush above already synced
+                        mark_dirty(j)
+                else:
+                    del occ[old]
+                occ[target] = i
+                site[i] = target
+                if not vectorize:
+                    mark_dirty(i)
+                for nid, v in zip(nids, after_vals):
+                    costs[nid] = v
+                accepted.append(delta)
+                continue
+            # reject (or dry run): restore the hypothetical coordinates
+            rows_l[i], cols_l[i] = old_r, old_c
+            if j >= 0:
+                rows_l[j], cols_l[j] = j_r, j_c
+            if vectorize:
+                # the numpy mirror saw the hypothetical values; re-patch it
+                mark_dirty(i)
+                if j >= 0:
+                    mark_dirty(j)
+            if accept:
+                accepted.append(delta)
+        return accepted
 
     def _relocate(self, state: _CompState, target, other, other_site) -> None:
         """Move ``state`` to ``target``, swapping ``other`` (if any) to

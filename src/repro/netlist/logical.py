@@ -224,6 +224,25 @@ class Netlist:
                 changed = True
         return removed
 
+    def copy(self) -> Netlist:
+        """An independent copy: new cells, nets and ports (``params``,
+        ``pins`` and ``sinks`` containers included), built through the
+        plain constructors — what ``copy.deepcopy`` gives, without its
+        per-object memo and reduce machinery."""
+        out = Netlist(self.name)
+        out.cells = {
+            name: Cell(c.name, c.kind, dict(c.params), dict(c.pins))
+            for name, c in self.cells.items()
+        }
+        out.nets = {
+            name: Net(n.name, n.driver, list(n.sinks)) for name, n in self.nets.items()
+        }
+        out.ports = {
+            name: Port(p.name, p.direction, p.buffer_cell)
+            for name, p in self.ports.items()
+        }
+        return out
+
     def driver_cell(self, net_name: str) -> Cell | None:
         net = self.get_net(net_name)
         return self.get_cell(net.driver[0]) if net.driver else None

@@ -66,8 +66,89 @@ def bytes_to_words(data: bytes) -> np.ndarray:
 
 
 def make_rng(seed: int | None) -> np.random.Generator:
-    """Deterministic RNG factory used by the placer/workload generators."""
+    """Deterministic RNG factory used by the router/workload generators."""
     return np.random.default_rng(0xC0FFEE if seed is None else seed)
+
+
+class RngStream:
+    """The draws of ``make_rng(seed)``, bit for bit, at python-int cost.
+
+    A scalar ``Generator.integers`` call costs microseconds of argument
+    handling; a hot loop drawing millions of small integers spends more
+    time there than on its own work.  This stream pulls raw PCG64 words
+    from the same seeded bit generator in blocks (``random_raw``) and
+    reproduces numpy's arithmetic on them:
+
+    * a 32-bit draw takes the low half of a fresh word and buffers the
+      high half for the next 32-bit draw (PCG64's ``next_uint32``);
+    * ``integers`` uses Lemire's bounded method with numpy's rejection
+      threshold ``(2**32 - 1 - rng) % (rng + 1)``, and draws nothing when
+      the range holds a single value;
+    * ``random()`` is ``(word >> 11) * 2**-53``.
+
+    Ranges wider than ``2**32`` (where numpy switches to 64-bit words)
+    are rejected.  Prefetching is invisible only to a caller that owns
+    the stream: the bit generator runs ahead of the draws made so far.
+    """
+
+    __slots__ = ("_bitgen", "_words", "_pos", "_half")
+
+    _BLOCK = 512
+
+    def __init__(self, seed: int | None):
+        self._bitgen = make_rng(seed).bit_generator
+        self._words: list[int] = []
+        self._pos = 0
+        self._half: int | None = None   # buffered high half of a word
+
+    def _next64(self) -> int:
+        pos = self._pos
+        if pos == len(self._words):
+            self._words = self._bitgen.random_raw(self._BLOCK).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._words[pos]
+
+    def _next32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, low: int, high: int | None = None) -> int:
+        """``Generator.integers(low, high)``: uniform in ``[low, high)``,
+        or ``[0, low)`` when ``high`` is omitted."""
+        if high is None:
+            low, high = 0, low
+        rng = high - low - 1
+        if rng == 0:
+            return low
+        if not 0 < rng <= 0xFFFFFFFF:
+            raise ValueError(f"range [{low}, {high}) is empty or wider than 2**32")
+        if rng == 0xFFFFFFFF:
+            return low + self._next32()
+        excl = rng + 1
+        # _next32() inlined: this is the placer's hot path
+        half = self._half
+        if half is None:
+            word = self._next64()
+            self._half = word >> 32
+            m = (word & 0xFFFFFFFF) * excl
+        else:
+            self._half = None
+            m = half * excl
+        if m & 0xFFFFFFFF < excl:
+            threshold = (0xFFFFFFFF - rng) % excl
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * excl
+        return low + (m >> 32)
+
+    def random(self) -> float:
+        """``Generator.random()``: a double in ``[0, 1)``."""
+        return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

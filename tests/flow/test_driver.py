@@ -1,7 +1,19 @@
 """Flow driver tests."""
 
 from repro.flow import run_flow
+from repro.workloads import build_module_netlist, figure4_plan
 from tests.conftest import build_counter_netlist
+from tests.flow.test_route_golden import design_digest
+
+
+def netlist_snapshot(nl):
+    """Everything a flow could disturb in a caller's netlist."""
+    return (
+        nl.stats(),
+        {n: (c.kind, dict(c.params), dict(c.pins)) for n, c in nl.cells.items()},
+        {n: (net.driver, list(net.sinks)) for n, net in nl.nets.items()},
+        {n: (p.direction, p.buffer_cell) for n, p in nl.ports.items()},
+    )
 
 
 class TestRunFlow:
@@ -26,6 +38,16 @@ class TestRunFlow:
         cells_before = set(nl.cells)
         run_flow(nl, "XCV50", seed=1)
         assert set(nl.cells) == cells_before  # flow works on a copy
+
+    def test_rerun_on_one_netlist_is_identical(self):
+        plan = figure4_plan("XCV100")[1]
+        nl = build_module_netlist("taps", plan.name, plan.variants[0])
+        before = netlist_snapshot(nl)
+        first = run_flow(nl, "XCV100", seed=3)
+        assert netlist_snapshot(nl) == before
+        second = run_flow(nl, "XCV100", seed=3)
+        assert netlist_snapshot(nl) == before
+        assert design_digest(first.design) == design_digest(second.design)
 
     def test_stats_chain(self, counter_flow):
         assert counter_flow.techmap_stats.luts_after <= counter_flow.techmap_stats.luts_before

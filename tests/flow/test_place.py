@@ -48,6 +48,18 @@ class TestLegality:
         assert stats.final_cost <= stats.initial_cost
         assert stats.moves_attempted > 0
 
+    @pytest.mark.parametrize("effort", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_effort_is_typed_error(self, effort):
+        # inf used to leak an OverflowError from int(inf); nan silently
+        # became the 0.1 floor
+        with pytest.raises(PlacementError, match="effort must be finite"):
+            place(packed(), seed=1, effort=effort)
+
+    def test_small_effort_clamped(self):
+        low = place(packed(), seed=1, effort=0.0)
+        floor = place(packed(), seed=1, effort=0.1)
+        assert low.moves_attempted == floor.moves_attempted
+
 
 class TestConstraints:
     def region(self):

@@ -173,3 +173,29 @@ class TestQueries:
     def test_driver_cell(self):
         nl = minimal()
         assert nl.driver_cell("y").name == "inv"
+
+
+class TestCopy:
+    def test_copy_equals_deepcopy(self):
+        import copy
+
+        nl = minimal()
+        a, b = nl.copy(), copy.deepcopy(nl)
+        assert a.name == b.name
+        assert a.cells == b.cells and a.nets == b.nets and a.ports == b.ports
+        a.validate()
+
+    def test_copy_is_independent(self):
+        nl = minimal()
+        dup = nl.copy()
+        dup.cells["inv"].params["INIT"] = 0b10
+        dup.cells["inv"].pins["I0"] = "y"
+        dup.nets["a"].sinks.append(("y__obuf", "I"))
+        dup.ports["a"].direction = "clock"
+        dup.remove_cell("y__obuf")
+        assert nl.cells["inv"].params == {"INIT": 0b01}
+        assert nl.cells["inv"].pins == {"I0": "a", "O": "y"}
+        assert nl.nets["a"].sinks == [("inv", "I0")]
+        assert nl.ports["a"].direction == "in"
+        assert "y__obuf" in nl.cells
+        nl.validate()

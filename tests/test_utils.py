@@ -49,6 +49,75 @@ class TestRng:
         assert utils.make_rng(5).integers(1 << 30) != utils.make_rng(6).integers(1 << 30)
 
 
+class TestRngStream:
+    """``RngStream(seed)`` must replay ``np.random.default_rng(seed)``
+    draw for draw: the placer's results depend on it."""
+
+    # n=1 draws nothing; 2**31 +- 1 sit at the int32 edge; 3e9 ranges
+    # reject about 30% of words; 2**32 takes a raw 32-bit value
+    BOUNDS = (1, 2, 3, 7, 18, 100, 1000, 2**31 - 1, 2**31, 2**31 + 1,
+              3_000_000_000, 3_100_000_007, 2**32 - 1, 2**32)
+
+    def _compare(self, seed, draws, pick, offset=0):
+        import random
+
+        gen, stream = np.random.default_rng(seed), utils.RngStream(seed)
+        for _ in range(offset):
+            assert stream.random() == gen.random()
+        choose = random.Random(pick)
+        for k in range(draws):
+            op = choose.randrange(4)
+            if op == 0:
+                n = choose.choice(self.BOUNDS)
+                a, b = gen.integers(n), stream.integers(n)
+            elif op == 1:
+                lo = choose.randrange(-10**6, 10**6)
+                hi = lo + choose.choice(self.BOUNDS)
+                a, b = gen.integers(lo, hi), stream.integers(lo, hi)
+            else:
+                a, b = gen.random(), stream.random()
+            assert a == b, (seed, k, op)
+            assert type(b) is (float if op > 1 else int)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_generator(self, seed):
+        # 20 seeds x 50k interleaved calls = 1M draws compared
+        self._compare(seed, 50_000, pick=seed)
+
+    def test_block_boundaries(self):
+        # start the interleaved draws at every offset around the first
+        # and second refill, so buffered halves and rejection loops
+        # straddle a block edge
+        block = utils.RngStream._BLOCK
+        for offset in [*range(block - 4, block + 2), *range(2 * block - 3, 2 * block + 1)]:
+            self._compare(offset, 64, pick=offset, offset=offset)
+
+    def test_pending_half_survives_refill(self):
+        gen, stream = np.random.default_rng(3), utils.RngStream(3)
+        block = utils.RngStream._BLOCK
+        for _ in range(block - 1):
+            assert stream.random() == gen.random()
+        # low half of the block's last word, then the buffered high
+        # half after the refill has already been requested by random()
+        assert stream.integers(1000) == gen.integers(1000)
+        assert stream.random() == gen.random()
+        assert stream.integers(1000) == gen.integers(1000)
+
+    def test_single_value_range_draws_nothing(self):
+        stream = utils.RngStream(4)
+        assert stream.integers(1) == 0
+        assert stream.integers(-5, -4) == -5
+        assert stream.random() == np.random.default_rng(4).random()
+
+    def test_default_seed_matches_make_rng(self):
+        assert utils.RngStream(None).integers(1 << 30) == utils.make_rng(None).integers(1 << 30)
+
+    @pytest.mark.parametrize("args", [(0,), (-3,), (5, 5), (5, 2), (2**32 + 1,), (-1, 2**32)])
+    def test_empty_or_wide_range_rejected(self, args):
+        with pytest.raises(ValueError, match="empty or wider than 2"):
+            utils.RngStream(0).integers(*args)
+
+
 class TestFormatting:
     def test_table_alignment(self):
         out = utils.format_table(["a", "long_header"], [["xx", 1], ["y", 22]])
