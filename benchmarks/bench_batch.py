@@ -8,13 +8,14 @@ cleared-region frames through a content-keyed cache.
 
 Claims measured here:
 * batched output is **byte-identical** to 10 sequential runs — and
-  identical across every execution backend (serial, thread, process);
+  identical across every execution backend (serial, thread, warm);
 * the frame cache hits for every repeated region footprint
   (7 hits / 3 misses over the 3x(3,3,4) manifest);
 * batching wins wall-clock over sequential generation;
-* on a multi-core machine the process backend beats serial by >= 2x
-  (``-m bench``; report-only below 4 cores — ``tools/perf_gate.py`` is
-  the CI entry point and writes ``BENCH_5.json``).
+* on a multi-core machine the warm worker pool beats serial by >= 2x
+  (``-m bench``; report-only below 4 cores).  jpgbench
+  (``benchmarks/jpgbench``) is the repository's end-to-end benchmark;
+  this module only checks the paper's batching claims.
 
 ``pytest benchmarks/bench_batch.py --benchmark-only`` times both flows.
 """
@@ -93,7 +94,7 @@ class TestEquivalence:
 
     def test_backends_byte_identical(self, fig4_project):
         """The backend axis never changes the bytes: serial, thread, and
-        process runs of the manifest all emit the same partials."""
+        warm runs of the manifest all emit the same partials."""
         outputs = {
             backend: {
                 k: v.data
@@ -104,7 +105,7 @@ class TestEquivalence:
             for backend in BACKEND_NAMES
         }
         assert outputs["thread"] == outputs["serial"]
-        assert outputs["process"] == outputs["serial"]
+        assert outputs["warm"] == outputs["serial"]
 
 
 class TestWallClock:
@@ -140,14 +141,13 @@ class TestWallClock:
 
 @pytest.mark.bench
 class TestBackendWallClock:
-    """The claim behind ``--backend process``: real CPU parallelism.
+    """The claim behind ``--backend warm``: real CPU parallelism.
 
     Deselected by default (``-m "not bench"``) because the assertion is
-    hardware-conditional; ``tools/perf_gate.py`` runs the same comparison
-    in CI and writes ``BENCH_5.json``.
+    hardware-conditional: it is enforced on 4 or more cores only.
     """
 
-    def test_process_backend_speedup(self, fig4_project):
+    def test_warm_backend_speedup(self, fig4_project):
         timings = {}
         for backend in BACKEND_NAMES:
             t0 = time.perf_counter()
@@ -157,8 +157,8 @@ class TestBackendWallClock:
             print(f"\n{backend}: {t:.3f} s")
         cpus = os.cpu_count() or 1
         if cpus >= 4:
-            assert timings["process"] * 2 <= timings["serial"], (
-                f"process backend should be >= 2x serial on {cpus} cores: "
+            assert timings["warm"] * 2 <= timings["serial"], (
+                f"warm backend should be >= 2x serial on {cpus} cores: "
                 f"{timings}"
             )
         else:

@@ -179,7 +179,7 @@ class BatchJpg:
         full_size: int | None = None,
     ):
         """``backend`` picks the execution strategy (``"serial"`` /
-        ``"thread"`` / ``"process"`` or a :class:`~repro.exec.Backend`
+        ``"thread"`` / ``"warm"`` or a :class:`~repro.exec.Backend`
         instance).  ``full_size`` (with a :class:`FrameMemory` base) skips
         both the base re-parse *and* the defensive clone — the zero-copy
         path pool workers use over a shared, read-only base."""

@@ -15,7 +15,7 @@ helpers::
     jpg serve -p XCV100 --base b.bit --tcp 0.0.0.0:4100 --cache-dir .jpgcache
     jpg submit --socket /tmp/jpg.sock --xdl m.xdl --ucf m.ucf -o out.bit
     jpg cluster --spawn 3 -p XCV100 --base b.bit --listen 127.0.0.1:4000
-    jpg loadgen --workload demo -n 1000 --nodes 3 --out BENCH_10.json
+    jpg loadgen --workload demo -n 1000 --nodes 3 --out replay.json
 
 ``jpg batch`` is the Figure-4 workflow: a JSON manifest lists N module
 versions (xdl/ucf/region each) and the engine generates all their partials
@@ -48,6 +48,7 @@ from ..bitstream.reader import parse_bitstream
 from ..devices import get_device, part_names
 from ..errors import (
     BitfileError,
+    ExecError,
     QueueFullError,
     ReproError,
     ServiceUnavailableError,
@@ -62,9 +63,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_UNAVAILABLE = 3
-
-#: Backends with a sizable worker pool (--pool-size targets).
-_POOLED_BACKENDS = ("thread", "process", "warm")
 
 
 def _load_bitfile(path: str) -> BitFile:
@@ -105,16 +103,12 @@ def _resolve_backend(args):
         return backend
     if pool_size < 1:
         raise UsageError(f"--pool-size must be >= 1, got {pool_size}")
-    if backend not in _POOLED_BACKENDS:
-        raise UsageError(
-            f"--pool-size needs a pooled backend ({', '.join(_POOLED_BACKENDS)}), "
-            f"not {backend!r}"
-        )
-    from ..exec import ProcessBackend, ThreadBackend, WarmPoolBackend
+    from ..exec import get_backend
 
-    cls = {"thread": ThreadBackend, "process": ProcessBackend,
-           "warm": WarmPoolBackend}[backend]
-    return cls(pool_size)
+    try:
+        return get_backend(backend, pool_size)
+    except ExecError as exc:
+        raise UsageError(f"--pool-size: {exc}") from None
 
 
 def _cmd_info(args) -> int:
@@ -830,6 +824,8 @@ def _cmd_parbit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from ..exec import BACKEND_NAMES
+
     parser = argparse.ArgumentParser(
         prog="jpg",
         description="JPG: partial bitstream generation for Virtex-class devices "
@@ -868,12 +864,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output-dir", help="save each partial as NAME.bit here")
     p.add_argument("-j", "--jobs", type=int,
                    help="pool workers (default: auto — JPG_WORKERS, then CPU count)")
-    p.add_argument("--backend", choices=["serial", "thread", "process", "warm"],
-                   default="thread",
+    p.add_argument("--backend", choices=BACKEND_NAMES, default="thread",
                    help="execution backend: serial (inline), thread (GIL-bound "
-                        "pool, default), process (scales with cores; base "
-                        "shared zero-copy via shared memory), warm (persistent "
-                        "worker pool + shared output arena)")
+                        "pool, default), warm (persistent worker-process pool; "
+                        "base shared zero-copy, replies through a shared "
+                        "output arena)")
     p.add_argument("--warm-pool", action="store_true",
                    help="shorthand for --backend warm")
     p.add_argument("--pool-size", type=int, metavar="N",
@@ -1001,12 +996,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int,
                    help="concurrent generations (default: auto — JPG_WORKERS, "
                         "then CPU count)")
-    p.add_argument("--backend", choices=["serial", "thread", "process", "warm"],
-                   default="thread",
-                   help="execution backend for generations (process = a "
-                        "worker-process pool over a shared-memory base; warm = "
-                        "that pool kept hot across requests, replies through a "
-                        "shared output arena)")
+    p.add_argument("--backend", choices=BACKEND_NAMES, default="thread",
+                   help="execution backend for generations (warm = a "
+                        "worker-process pool over a shared-memory base, kept "
+                        "hot across requests, replies through a shared output "
+                        "arena)")
     p.add_argument("--warm-pool", action="store_true",
                    help="shorthand for --backend warm")
     p.add_argument("--pool-size", type=int, metavar="N",

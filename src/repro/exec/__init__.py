@@ -1,12 +1,13 @@
 """Execution backends for batch partial-bitstream generation.
 
 Public surface of the backend subsystem (see :mod:`repro.exec.backend`
-for the strategy classes and :mod:`repro.exec.shm` for the zero-copy
-frame transport the process backend rides on)::
+for the strategy classes, :mod:`repro.exec.pool` for the warm worker
+pool and :mod:`repro.exec.shm` for the zero-copy frame transport it
+rides on)::
 
     from repro.exec import default_workers, get_backend
 
-    engine = BatchJpg("XCV100", base, backend="process")
+    engine = BatchJpg("XCV100", base, backend="warm")
     report = engine.run(items)      # byte-identical to backend="serial"
     engine.close()                  # returns the pool + shared memory
 """
@@ -16,7 +17,6 @@ from .backend import (
     BACKEND_NAMES,
     MAX_DEFAULT_WORKERS,
     Backend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     default_workers,
@@ -42,7 +42,6 @@ __all__ = [
     "ExecError",
     "FrameDelta",
     "OutputArena",
-    "ProcessBackend",
     "SerialBackend",
     "SharedFrames",
     "ShmSpec",

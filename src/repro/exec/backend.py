@@ -10,18 +10,13 @@ with three implementations:
 * :class:`ThreadBackend` — a per-run ``ThreadPoolExecutor``.  Cheap to
   start and shares the in-process frame cache directly, but generation is
   CPU-bound numpy-plus-Python work, so the GIL caps the speedup.
-* :class:`ProcessBackend` — a persistent ``ProcessPoolExecutor``.  The
-  base frame memory is published once via :mod:`repro.exec.shm` and
-  attached zero-copy by every worker; tasks and results are small
-  pickles, and cleared-region states come home as dirty-frame deltas
-  that re-seed the parent's cache.  This is the backend that scales with
-  cores.
-* ``"warm"`` — :class:`~repro.exec.pool.WarmPoolBackend`, the warm
-  worker-pool daemon: the process backend's shared-base design with the
-  per-batch costs (fork, attach, pipe-pickled replies) amortized into a
-  persistent :class:`~repro.exec.pool.WarmPool` whose workers write
-  results into a preallocated shared output arena.  Registered here by
-  name but defined in :mod:`repro.exec.pool`.
+* ``"warm"`` — :class:`~repro.exec.pool.WarmPoolBackend`, a persistent
+  pool of forked worker processes.  The base frame memory is published
+  once via :mod:`repro.exec.shm` and attached zero-copy by every worker;
+  workers write results into a preallocated shared output arena, and
+  cleared-region states come home as dirty-frame deltas that re-seed the
+  parent's cache.  Registered here by name but defined in
+  :mod:`repro.exec.pool`.
 
 Backends are engine-agnostic objects: ``run(engine, items)`` executes a
 manifest for one :class:`~repro.batch.engine.BatchJpg` and returns results
@@ -32,8 +27,8 @@ the serial path, so a batch never silently loses items.
 
 :func:`default_workers` is the one sizing policy everything shares: the
 ``JPG_WORKERS`` environment variable wins, a pool worker always answers 1
-(a process worker must never nest its own pool), and otherwise the CPU
-count decides, capped at 8.
+(it must never nest its own pool), and otherwise the CPU count decides,
+capped at 8.
 """
 
 from __future__ import annotations
@@ -118,8 +113,8 @@ class Backend(ABC):
 
     def cache_stats(self, engine: "BatchJpg") -> "CacheStats":
         """Frame-cache accounting for a finished run.  In-process backends
-        read the engine's cache; the process backend aggregates what its
-        workers reported."""
+        read the engine's cache; the warm pool aggregates what its workers
+        reported."""
         return engine.cache.stats
 
     def planned_workers(self) -> int | None:
@@ -161,195 +156,32 @@ class ThreadBackend(Backend):
             return list(pool.map(engine.generate_one, items))
 
 
-class ProcessBackend(Backend):
-    """A persistent process pool over a shared-memory base.
-
-    Created lazily on first use and bound to one engine (its base frames
-    are what the workers attached to); reuse across runs amortizes the
-    fork/attach cost for services.  Call :meth:`close` (or
-    ``engine.close()``) when done so the segment is unlinked.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int | None = None, *, start_method: str | None = None):
-        self.workers = workers
-        self.start_method = start_method
-        self._pool = None
-        self._shared = None
-        self._engine: BatchJpg | None = None
-        self._resolved_workers = 0
-        self._worker_hits = 0
-        self._worker_misses = 0
-
-    # -- pool lifecycle -------------------------------------------------------
-
-    def _ensure_pool(self, engine: "BatchJpg", workers: int | None) -> None:
-        if self._pool is not None:
-            if engine is not self._engine:
-                raise ExecError(
-                    "process backend is already bound to another engine; "
-                    "use one ProcessBackend per BatchJpg"
-                )
-            return
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .shm import SharedFrames
-        from .worker import worker_init
-
-        method = self.start_method
-        if method is None:
-            # fork is dramatically cheaper where it exists (no re-import,
-            # parsed device models inherited); fall back to the default
-            method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        ctx = multiprocessing.get_context(method)
-        n = workers or self.workers or default_workers()
-        shared = SharedFrames.publish(engine.base_frames)
-        cache_spec = _cache_spec(engine)
-        try:
-            self._pool = ProcessPoolExecutor(
-                max_workers=n,
-                mp_context=ctx,
-                initializer=worker_init,
-                initargs=(
-                    engine.part,
-                    shared.spec,
-                    engine.base_design,
-                    engine.full_size,
-                    cache_spec,
-                ),
-            )
-        except BaseException:
-            shared.unlink()
-            raise
-        self._shared = shared
-        self._engine = engine
-        self._resolved_workers = n
-        engine.metrics.gauge("exec.pool_workers", n)
-        engine.metrics.gauge("exec.shm_bytes", shared.nbytes)
-
-    def close(self) -> None:
-        """Shut the pool down and unlink the shared base.  Idempotent."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        if self._shared is not None:
-            self._shared.unlink()
-            self._shared = None
-        self._engine = None
-
-    # -- execution ------------------------------------------------------------
-
-    def run(self, engine, items, workers=None):
-        """Map the manifest over the worker pool; a dead worker aborts
-        the whole batch with :class:`ExecError` (no silent losses)."""
-        if not items:
-            return []
-        from concurrent.futures.process import BrokenProcessPool
-
-        from .worker import worker_task
-
-        self._ensure_pool(engine, workers)
-        engine.metrics.count("exec.tasks", len(items))
-        try:
-            with engine.metrics.stage("exec.pool_map", backend=self.name,
-                                      items=len(items), workers=self._resolved_workers):
-                raw = list(self._pool.map(worker_task, items))
-        except BrokenProcessPool as exc:
-            # a worker died (OOM kill, crash, os._exit): the whole batch
-            # aborts — partial results must never pass for a finished run
-            self.close()
-            raise ExecError(
-                f"process backend lost a worker mid-batch ({len(items)} items "
-                f"aborted): {exc}"
-            ) from exc
-        return [self._ingest(engine, r) for r in raw]
-
-    def run_one(self, engine, item):
-        """Generate a single item on the pool (the serving path)."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        from .worker import worker_task
-
-        self._ensure_pool(engine, None)
-        engine.metrics.count("exec.tasks")
-        try:
-            raw = self._pool.submit(worker_task, item).result()
-        except BrokenProcessPool as exc:
-            self.close()
-            raise ExecError(f"process backend lost a worker: {exc}") from exc
-        return self._ingest(engine, raw)
-
-    def _ingest(self, engine, raw):
-        """Fold one worker reply into the parent (see :func:`_ingest_reply`)
-        and accumulate its frame-cache counters."""
-        result, hits, misses = _ingest_reply(engine, raw)
-        self._worker_hits += hits
-        self._worker_misses += misses
-        return result
-
-    def cache_stats(self, engine):
-        """Hits/misses as the workers saw them (their caches did the work)."""
-        from ..batch.cache import CacheStats
-
-        return CacheStats(self._worker_hits, self._worker_misses)
-
-
-def _ingest_reply(engine: "BatchJpg", raw) -> tuple:
-    """Fold one worker reply into the parent engine.
-
-    Merges the worker's metrics snapshot, re-seeds the parent's frame
-    cache from the reply's cleared-state deltas, and returns
-    ``(result, cache_hits, cache_misses)`` — the caller accumulates the
-    counters into whatever owns the pool.  Shared by the process backend
-    and the warm pool, so the reply protocol has exactly one reader.
-    """
-    result, snapshot, cleared = raw
-    counters = snapshot.get("counters", {})
-    hits = counters.get("framecache.hit", 0)
-    misses = counters.get("framecache.miss", 0)
-    engine.metrics.merge(snapshot)
-    for base_key, region, dirty, delta in cleared:
-        state = (delta.apply(engine.base_frames), frozenset(dirty))
-        engine.cache.put(base_key, region, state)
-    return result, hits, misses
-
-
-def _cache_spec(engine: "BatchJpg"):
-    """A picklable recipe for the worker-side cache: disk-backed workers
-    rebuild the engine's persistent cache (sharing entries through the
-    filesystem); everyone else gets a private in-memory cache whose
-    computes come home as deltas."""
-    disk = getattr(engine.cache, "disk", None)
-    if disk is not None:
-        return ("disk", disk.root, disk.max_bytes)
-    return None
-
-
-def _warm_backend():
+def _warm_backend(workers: int | None = None) -> Backend:
     """Construct a :class:`~repro.exec.pool.WarmPoolBackend` (imported
     lazily: pool.py imports this module, so a top-level import would be
     circular)."""
     from .pool import WarmPoolBackend
 
-    return WarmPoolBackend()
+    return WarmPoolBackend(workers)
 
 
 _BACKENDS = {
     "serial": SerialBackend,
     "thread": ThreadBackend,
-    "process": ProcessBackend,
     "warm": _warm_backend,
 }
 
 #: Names accepted by ``--backend`` / ``backend=``.
 BACKEND_NAMES = tuple(_BACKENDS)
 
+#: The backends that own a pool and take a worker count (``--pool-size``).
+_POOLED = ("thread", "warm")
 
-def get_backend(backend: str | Backend) -> Backend:
+
+def get_backend(backend: str | Backend, workers: int | None = None) -> Backend:
     """Resolve a backend argument: a :class:`Backend` instance passes
-    through, a name constructs the matching class."""
+    through, a name constructs the matching class.  ``workers`` pins the
+    pool size of a pooled backend."""
     if isinstance(backend, Backend):
         return backend
     factory = _BACKENDS.get(backend)
@@ -357,4 +189,11 @@ def get_backend(backend: str | Backend) -> Backend:
         raise ExecError(
             f"unknown backend {backend!r} (expected one of {', '.join(_BACKENDS)})"
         )
-    return factory()
+    if workers is None:
+        return factory()
+    if backend not in _POOLED:
+        raise ExecError(
+            f"the {backend!r} backend has no pool to size "
+            f"(pooled backends: {', '.join(_POOLED)})"
+        )
+    return factory(workers)

@@ -1,9 +1,8 @@
 """The warm worker pool: persistent forked workers behind a shared arena.
 
-BENCH_5 measured the honest problem with the classic process backend: on
-small batches the fork/attach cost of a fresh ``ProcessPoolExecutor``
-dominates and parallelism is a net loss.  The warm pool closes that gap
-by making every per-batch cost a per-*pool* cost:
+On small batches the fork/attach cost of a fresh process pool dominates
+and parallelism is a net loss.  The warm pool closes that gap by making
+every per-batch cost a per-*pool* cost:
 
 * workers are forked **once** and reused across batches (and across serve
   requests — the scheduler and the batch engine share one pool);
@@ -39,7 +38,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ExecError
-from .backend import Backend, _cache_spec, _ingest_reply, default_workers
+from .backend import Backend, default_workers
 from .shm import OutputArena, SharedFrames
 
 if TYPE_CHECKING:
@@ -51,6 +50,17 @@ _JOIN_TIMEOUT = 5.0
 
 #: How long (seconds) :meth:`WarmPool.ping` waits for each pong.
 _PING_TIMEOUT = 5.0
+
+
+def _cache_spec(engine: "BatchJpg"):
+    """A picklable recipe for the worker-side cache: disk-backed workers
+    rebuild the engine's persistent cache (sharing entries through the
+    filesystem); everyone else gets a private in-memory cache whose
+    computes come home as deltas."""
+    disk = getattr(engine.cache, "disk", None)
+    if disk is not None:
+        return ("disk", disk.root, disk.max_bytes)
+    return None
 
 
 @dataclass
@@ -321,9 +331,9 @@ class WarmPoolBackend(Backend):
 
     Construct with a shared :class:`WarmPool` to keep one hot pool across
     the batch engine and the serve scheduler, or let it build a private
-    pool.  Binding rules match :class:`~repro.exec.backend.
-    ProcessBackend`: the first engine that runs wins, and ``close()``
-    shuts the pool down (call it from ``engine.close()`` as usual).
+    pool.  The first engine that runs binds the pool (a second engine
+    raises), and ``close()`` shuts the pool down (call it from
+    ``engine.close()`` as usual).
     """
 
     name = "warm"
@@ -369,8 +379,19 @@ class WarmPoolBackend(Backend):
         return result
 
     def _ingest(self, engine, raw):
-        result, hits, misses = _ingest_reply(engine, raw)
-        self.pool.record_ingest(hits, misses)
+        """Fold one worker reply into the parent engine: merge its metrics
+        snapshot, re-seed the engine's frame cache from the reply's
+        cleared-state deltas, and count its frame-cache hits/misses.
+        This is the one reader of the reply format (see
+        :mod:`repro.exec.worker`)."""
+        result, snapshot, cleared = raw
+        counters = snapshot.get("counters", {})
+        self.pool.record_ingest(counters.get("framecache.hit", 0),
+                                counters.get("framecache.miss", 0))
+        engine.metrics.merge(snapshot)
+        for base_key, region, dirty, delta in cleared:
+            state = (delta.apply(engine.base_frames), frozenset(dirty))
+            engine.cache.put(base_key, region, state)
         return result
 
     def _gauge(self, engine) -> None:

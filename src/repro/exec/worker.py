@@ -1,10 +1,11 @@
-"""What runs inside a process-pool worker.
+"""What runs inside a warm-pool worker process.
 
 One worker = one long-lived :class:`~repro.batch.engine.BatchJpg` built in
 :func:`worker_init` over the parent's shared-memory base (attached
 zero-copy, never cloned) and reused for every task the worker receives.
-:func:`worker_task` is the unit of work the parent submits: generate one
-item, then ship home a small pickle of
+:func:`warm_worker_main` is the worker's entry point: a persistent
+request/reply loop over a pipe.  Each task generates one item, and the
+reply is a pickle of
 
 * the :class:`~repro.batch.engine.BatchItemResult` itself (the partial's
   bytes are the product; they are already small),
@@ -15,21 +16,17 @@ item, then ship home a small pickle of
   parent re-seeds its own cache from these, so work done in a worker
   warms every later run.
 
-With a disk-backed cache, workers share cleared states through the
-filesystem instead and the delta list stays empty.
+The reply is written into this worker's slot of a shared
+:class:`~repro.exec.shm.OutputArena`, not sent through the pipe.  With a
+disk-backed cache, workers share cleared states through the filesystem
+instead and the delta list stays empty.
 
-Both functions are module-level so they pickle by reference under the
-``spawn`` start method.  ``JPG_EXEC_CRASH=<item name>`` (or ``*``) makes a
-worker die mid-task with ``os._exit`` — the hook the crash tests use to
-prove a broken pool aborts the batch loudly.  ``JPG_EXEC_CRASH_ONCE=
-<flag-file>[:<item name>]`` crashes only while the flag file exists and
-deletes it first, so exactly one worker dies — the hook the warm pool's
+``JPG_EXEC_CRASH=<item name>`` (or ``*``) makes a worker die mid-task
+with ``os._exit`` — the hook the crash tests use to prove a pool that
+keeps losing workers fails loudly.  ``JPG_EXEC_CRASH_ONCE=<flag-file>
+[:<item name>]`` crashes only while the flag file exists and deletes it
+first, so exactly one worker dies — the hook the warm pool's
 recycle-and-retry tests use.
-
-:func:`warm_worker_main` is the warm-pool flavor of the same worker: the
-same engine-over-shared-base setup, but a persistent request/reply loop
-over a pipe, with replies serialized into this worker's slot of a shared
-:class:`~repro.exec.shm.OutputArena` instead of pickled through the pipe.
 """
 
 from __future__ import annotations
@@ -82,7 +79,7 @@ def worker_init(
     full_size: int,
     cache_spec: tuple | None,
 ) -> None:
-    """Pool initializer: attach the shared base and build this worker's
+    """One-time worker setup: attach the shared base and build this worker's
     engine.  Runs once per worker process."""
     global _STATE
     mark_worker_process()
@@ -148,12 +145,6 @@ def _run_item(item: "BatchItem") -> tuple["BatchItemResult", dict, list[ClearedR
     return result, metrics.snapshot(), cleared
 
 
-def worker_task(item: "BatchItem") -> tuple["BatchItemResult", dict, list[ClearedRecord]]:
-    """Generate one item in this worker; see the module docstring for the
-    reply format.  (The :class:`ProcessBackend` task function.)"""
-    return _run_item(item)
-
-
 def warm_worker_main(
     idx: int,
     conn,
@@ -166,10 +157,9 @@ def warm_worker_main(
 ) -> None:
     """Entry point of one warm-pool worker process.
 
-    Performs the same one-time setup as :func:`worker_init` (attach shared
-    base, build a serial engine), attaches slot ``idx`` of the shared
-    output arena, then serves a message loop on ``conn`` until told to
-    stop:
+    Runs :func:`worker_init` (attach the shared base, build a serial
+    engine), attaches slot ``idx`` of the shared output arena, then
+    serves a message loop on ``conn`` until told to stop:
 
     * ``("task", item)`` — run the item; pickle the reply and write it
       into this worker's arena slot, answering ``("arena", nbytes)``; if

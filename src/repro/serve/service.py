@@ -139,8 +139,8 @@ class GenerationService:
     ):
         """``backend`` picks how generations execute (see
         :mod:`repro.exec`): ``"thread"`` runs them inline on the
-        scheduler's threads, ``"process"`` fans them out to a pool of
-        worker processes over a shared-memory base.  ``sanctioned``
+        scheduler's threads, ``"warm"`` fans them out to a persistent
+        pool of worker processes over a shared-memory base.  ``sanctioned``
         (with ``lint``) arms the gate's tamper rules: served partials
         must stay inside the policy regions and must not edit routing
         relative to the service's own base configuration.

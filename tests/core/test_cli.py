@@ -375,6 +375,16 @@ class TestBatch:
         assert rc == 2
         assert "XCV9000" in capsys.readouterr().err
 
+    def test_batch_pool_size_needs_a_pooled_backend(self, manifest, capsys):
+        rc = main([
+            "batch", "-p", "XCV50",
+            "--base", manifest["base"],
+            "--manifest", manifest["path"],
+            "--backend", "serial", "--pool-size", "2",
+        ])
+        assert rc == 2
+        assert "pooled backends: thread, warm" in capsys.readouterr().err
+
     def test_batch_manifest_not_json(self, manifest, capsys):
         (manifest["tmp"] / "manifest.json").write_text("{not json")
         rc = main([
@@ -529,6 +539,19 @@ class TestServeSubmitErrors:
         rc = main(["serve", "-p", "XCV50", "--base", str(base)])
         assert rc == 2
         assert "exactly one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["batch", "serve"])
+    def test_backend_process_is_a_usage_error(self, tmp_path, command, capsys):
+        """The backend choices come from the registry: a retired name
+        exits 2 through argparse."""
+        args = [command, "-p", "XCV50", "--base", str(tmp_path / "b.bit"),
+                "--backend", "process"]
+        if command == "batch":
+            args += ["--manifest", str(tmp_path / "m.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
 
     def test_submit_needs_xdl(self, tmp_path, capsys):
         """--stats/--shutdown aside, a submit without --xdl is usage."""

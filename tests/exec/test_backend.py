@@ -7,7 +7,6 @@ from repro.exec import (
     BACKEND_NAMES,
     MAX_DEFAULT_WORKERS,
     Backend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     default_workers,
@@ -19,7 +18,6 @@ class TestGetBackend:
     def test_names_resolve(self):
         assert isinstance(get_backend("serial"), SerialBackend)
         assert isinstance(get_backend("thread"), ThreadBackend)
-        assert isinstance(get_backend("process"), ProcessBackend)
 
     def test_instances_pass_through(self):
         be = ThreadBackend(workers=3)
@@ -28,12 +26,20 @@ class TestGetBackend:
     def test_unknown_name_raises(self):
         with pytest.raises(ExecError, match="unknown backend"):
             get_backend("gpu")
+        with pytest.raises(ExecError, match="unknown backend"):
+            get_backend("process")
 
     def test_names_list_is_complete(self):
-        assert set(BACKEND_NAMES) == {"serial", "thread", "process", "warm"}
+        assert BACKEND_NAMES == ("serial", "thread", "warm")
         for name in BACKEND_NAMES:
             assert isinstance(get_backend(name), Backend)
             assert get_backend(name).name == name
+
+    def test_workers_size_pooled_backends_only(self):
+        assert get_backend("thread", 3).workers == 3
+        assert get_backend("warm", 3).planned_workers() == 3
+        with pytest.raises(ExecError, match="no pool to size"):
+            get_backend("serial", 3)
 
     def test_warm_resolves_to_pool_backend(self):
         from repro.exec import WarmPoolBackend
@@ -82,26 +88,3 @@ class TestDefaultWorkers:
         # ... unless the operator explicitly overrides via the env var
         monkeypatch.setenv("JPG_WORKERS", "2")
         assert default_workers() == 2
-
-
-class TestProcessBackendBinding:
-    def test_rebinding_to_another_engine_raises(self, demo_project):
-        from repro.batch import BatchJpg
-        from repro.batch.engine import items_from_project
-
-        backend = ProcessBackend(workers=1)
-        a = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
-        b = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
-        items = items_from_project(demo_project)[:1]
-        try:
-            report = a.run(items)
-            assert report.ok
-            with pytest.raises(ExecError, match="already bound"):
-                b.run(items)
-        finally:
-            a.close()
-
-    def test_close_is_idempotent(self):
-        backend = ProcessBackend()
-        backend.close()
-        backend.close()

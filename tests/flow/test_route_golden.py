@@ -1,12 +1,21 @@
-"""Golden routing fixture on the XCV100 Figure-4 scenario.
+"""Golden routing fixtures.
 
 Each digest is a sha256 over one flow result: every slice and IOB site,
-every net's sorted PIPs, and every sink's physical pin and delay.  The
-designs are the Figure-4 base (seed 0), its 10 guided module versions,
-and three full-chip combinations at seeds 0, 1 and 2 — the same builds
-the fig4-e2e and fullchip-flow benchmark workloads run.  A change to the
-placer, the router or the device graph that alters any of them fails
-here, whichever engine it touches.
+every net's sorted PIPs, and every sink's physical pin and delay.
+
+* ``GOLDEN`` — the XCV100 Figure-4 base (seed 0), its 10 guided module
+  versions, and three full-chip combinations at seeds 0, 1 and 2: the
+  same builds the fig4-e2e and fullchip-flow benchmark workloads run.
+* ``GOLDEN_XCV50`` — the XCV50 designs the engine-equivalence suite
+  (``test_vectorized.py``) routes, checked on both engines.
+* ``GOLDEN_FLOW_CASES`` — :func:`repro.workloads.flow_cases` (the
+  Figure-4 XCV100 base and the XCV1000 scale base) at seed 5 on both
+  engines; slow-marked.
+
+A change to the placer, the router or the device graph that alters any
+of them fails here, whichever engine it touches.  Print the tables with
+``PYTHONPATH=src python -m tests.flow.test_route_golden`` — but paste
+them in only when a routing change is intended.
 """
 
 import hashlib
@@ -14,14 +23,20 @@ import hashlib
 import pytest
 
 from repro.baselines.fullflow import build_combination_netlist, enumerate_combinations
-from repro.flow import run_flow
+from repro.flow import ROUTER_ENGINES, run_flow
+from repro.flow.pack import pack
+from repro.flow.place import place
+from repro.flow.route import route
+from repro.flow.techmap import techmap
 from repro.workloads import (
     build_base_netlist,
     build_module_netlist,
     figure4_plan,
+    flow_cases,
     flow_constraints,
     version_name,
 )
+from tests.conftest import build_counter_netlist
 
 PART = "XCV100"
 
@@ -40,6 +55,22 @@ GOLDEN = {
     "full/r1-up_r2-taps_c_r3-1010/seed0": "db3f6e49da1a600af871b33e6d3df17507b461ef036df4137474da407e641693",
     "full/r1-down_r2-taps_b_r3-0101/seed1": "4c7d62d93677c89560574c903cb4708b7b8d20837de590d491361a21738c327b",
     "full/r1-step3_r2-taps_c_r3-1000/seed2": "a7ff7c05aee892d4737cd0de9d4bc9c4ebb1e4de23b6e71e6d8fc10b7392e75f",
+}
+
+GOLDEN_XCV50 = {
+    "counter8/seed1": "fe393a64904c3025f742b6b48c3e64a802e358d33f2c2785e5350c7034c28d01",
+    "counter8/seed4": "5942b237d0ee072e9805b6301b3819ca7162fbdd8d2da2ec71bff684c756b7d1",
+    "counter8/seed42": "515a03d94cace80bc269a12bce66adbad4b5ae616ae84243f7e9199ba2b06520",
+    "flow6/seed2": "38776ee34d8b75cbb7ff5fbc88aeeeea55d980f4987af434820870575f321835",
+    "flow6/guided/seed2": "38776ee34d8b75cbb7ff5fbc88aeeeea55d980f4987af434820870575f321835",
+}
+
+#: Seed of the flow-case fixture.
+FLOW_CASE_SEED = 5
+
+GOLDEN_FLOW_CASES = {
+    "fig4-XCV100/seed5": "2eabfe50462ad30e6bd11f8c560c0be4182e51e1ae4d4cfb6c597111c191cf66",
+    "scale-XCV1000/seed5": "04d4c53a17b0d60474172fb03b90bed394600c6961b84a11153f361fbae00a6e",
 }
 
 
@@ -82,6 +113,30 @@ def golden_designs():
         yield f"full/{label}/seed{seed}", flow.design
 
 
+def xcv50_designs(engine):
+    """Yield (label, routed design) for the XCV50 designs on ``engine``."""
+    for seed in (1, 4, 42):
+        nl, _ = build_counter_netlist(8)
+        techmap(nl)
+        design = pack(nl, "XCV50")[0]
+        place(design, seed=seed, engine=engine)
+        route(design, seed=seed, engine=engine)
+        yield f"counter8/seed{seed}", design
+    nl, _ = build_counter_netlist(6)
+    base = run_flow(nl, "XCV50", seed=2, engine=engine)
+    yield "flow6/seed2", base.design
+    guided = run_flow(nl, "XCV50", guide=base.design, seed=2, engine=engine)
+    yield "flow6/guided/seed2", guided.design
+
+
+def flow_case_designs(engine):
+    """Yield (label, routed design) for every ``flow_cases()`` design."""
+    for label, part, netlist, constraints in flow_cases():
+        flow = run_flow(netlist, part, constraints, seed=FLOW_CASE_SEED,
+                        engine=engine)
+        yield f"{label}/seed{FLOW_CASE_SEED}", flow.design
+
+
 @pytest.fixture(scope="module")
 def digests():
     return {label: design_digest(design) for label, design in golden_designs()}
@@ -97,6 +152,24 @@ def test_routing_matches_golden(digests, label):
     assert digests[label] == GOLDEN[label]
 
 
-if __name__ == "__main__":  # print the table to paste into GOLDEN
-    for label, design in golden_designs():
-        print(f"    {label!r}: {design_digest(design)!r},")
+@pytest.mark.parametrize("engine", ROUTER_ENGINES)
+def test_xcv50_routing_matches_golden(engine):
+    got = {label: design_digest(d) for label, d in xcv50_designs(engine)}
+    assert got == GOLDEN_XCV50
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("engine", ROUTER_ENGINES)
+def test_flow_cases_match_golden(engine):
+    got = {label: design_digest(d) for label, d in flow_case_designs(engine)}
+    assert got == GOLDEN_FLOW_CASES
+
+
+if __name__ == "__main__":  # print the tables to paste above
+    for title, rows in (("GOLDEN", golden_designs()),
+                        ("GOLDEN_XCV50", xcv50_designs("array")),
+                        ("GOLDEN_FLOW_CASES", flow_case_designs("array"))):
+        print(f"{title} = {{")
+        for label, design in rows:
+            print(f'    "{label}": "{design_digest(design)}",')
+        print("}\n")

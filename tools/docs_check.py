@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """docs-check: keep the documentation from rotting silently.
 
-Five passes, all stdlib-only:
+Four passes, all stdlib-only:
 
 1. ``python -m compileall`` over ``src/`` — every module must at least
    parse (catches syntax rot in rarely-imported corners);
@@ -17,11 +17,7 @@ Five passes, all stdlib-only:
    :data:`DOCSTRING_PACKAGES` (the public-facing execution and serving
    layers): every public module, class, function, and method must carry a
    docstring — coverage below :data:`DOCSTRING_THRESHOLD` fails, naming
-   each gap;
-5. a benchmark-table freshness check: the Markdown tables embedded
-   between ``<!-- bench:start/end -->`` markers must match the newest
-   ``BENCH_*.json`` (delegated to ``tools/bench_report.py --check``
-   logic), so measured numbers and published numbers cannot drift apart.
+   each gap.
 
 Run from the repository root::
 
@@ -207,17 +203,6 @@ def check_docstrings(root: Path) -> list[str]:
     return problems
 
 
-def check_bench_tables(root: Path) -> list[str]:
-    """Embedded benchmark tables must match the newest BENCH file (the
-    ``bench_report`` staleness check, run in-process)."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent))
-    try:
-        import bench_report
-    finally:
-        sys.path.pop(0)
-    return bench_report.stale_docs(root)
-
-
 def main() -> int:
     ok = True
     if not check_compile(REPO_ROOT):
@@ -227,7 +212,6 @@ def main() -> int:
         check_links(REPO_ROOT)
         + check_rule_catalog(REPO_ROOT)
         + check_docstrings(REPO_ROOT)
-        + check_bench_tables(REPO_ROOT)
     )
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)
@@ -236,7 +220,7 @@ def main() -> int:
     if ok:
         n = len(doc_files(REPO_ROOT))
         print(f"docs-check: OK ({n} Markdown files, src/ compiles, "
-              f"rule catalog complete, docstrings covered, bench tables fresh)")
+              f"rule catalog complete, docstrings covered)")
     return 0 if ok else 1
 
 

@@ -13,8 +13,8 @@ Run from the repo root::
     PYTHONPATH=src python tools/load_gen.py -n 1000 --nodes 3 --out report.json
     PYTHONPATH=src python tools/load_gen.py --target 127.0.0.1:4000 -n 100000
 
-``tools/perf_gate.py`` embeds the same harness for the BENCH_10
-cluster-vs-single-node gate.
+CI runs it as the cluster smoke replay; ``jpg loadgen`` is the same
+harness behind the CLI.
 """
 
 import os
