@@ -13,7 +13,7 @@ bitstream that must be stored and downloaded whole.
 import pytest
 
 from repro.baselines.fullflow import build_combination_netlist
-from repro.flow import run_flow
+from repro.flow import clear_flow_cache, run_flow
 from repro.workloads import figure4_plan
 
 from .conftest import BENCH_PART
@@ -91,7 +91,8 @@ class TestIncrementalTiming:
         def cold():
             return run_flow(nl, BENCH_PART, cons, seed=6)
 
-        result = benchmark.pedantic(cold, rounds=3, iterations=1)
+        result = benchmark.pedantic(
+            cold, setup=clear_flow_cache, rounds=3, iterations=1)
         assert result.design.routed()
 
     def test_incremental_combination_run(self, benchmark, plans, first_combo):
@@ -102,5 +103,6 @@ class TestIncrementalTiming:
         def warm():
             return run_flow(nl, BENCH_PART, cons, guide=base.design, seed=6)
 
-        result = benchmark.pedantic(warm, rounds=3, iterations=1)
+        result = benchmark.pedantic(
+            warm, setup=clear_flow_cache, rounds=3, iterations=1)
         assert result.route_stats.nets_reused > 0

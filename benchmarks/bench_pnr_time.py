@@ -9,7 +9,7 @@ design, plus the scaling of P&R time with design size.
 
 import pytest
 
-from repro.flow import run_flow
+from repro.flow import clear_flow_cache, run_flow
 from repro.workloads import (
     ModuleSpec,
     build_base_netlist,
@@ -32,7 +32,8 @@ class TestModuleVsFullDesign:
         def full():
             return run_flow(base, BENCH_PART, seed=5)
 
-        result = benchmark.pedantic(full, rounds=3, iterations=1)
+        result = benchmark.pedantic(
+            full, setup=clear_flow_cache, rounds=3, iterations=1)
         assert result.design.routed()
 
     def test_single_module_flow(self, benchmark, plans):
@@ -41,13 +42,15 @@ class TestModuleVsFullDesign:
         def module():
             return run_flow(nl, BENCH_PART, seed=5)
 
-        result = benchmark.pedantic(module, rounds=3, iterations=1)
+        result = benchmark.pedantic(
+            module, setup=clear_flow_cache, rounds=3, iterations=1)
         assert result.design.routed()
 
     def test_module_flow_is_faster(self, plans):
         """The headline §4.1 inequality, asserted directly."""
         base = build_base_netlist("base", plans)
         module = build_module_netlist("mod", "r1", plans[0].variants[1])
+        clear_flow_cache()  # real place-and-route on both sides
         t_full = run_flow(base, BENCH_PART, seed=5).total_seconds
         t_mod = run_flow(module, BENCH_PART, seed=5).total_seconds
         assert t_mod < t_full
@@ -61,7 +64,8 @@ class TestScaling:
         def flow():
             return run_flow(nl, BENCH_PART, seed=1)
 
-        result = benchmark.pedantic(flow, rounds=2, iterations=1)
+        result = benchmark.pedantic(
+            flow, setup=clear_flow_cache, rounds=2, iterations=1)
         assert result.design.routed()
 
 
@@ -75,5 +79,6 @@ class TestCostEngines:
         def full():
             return run_flow(base, BENCH_PART, seed=5, engine=engine)
 
-        result = benchmark.pedantic(full, rounds=3, iterations=1)
+        result = benchmark.pedantic(
+            full, setup=clear_flow_cache, rounds=3, iterations=1)
         assert result.design.routed()

@@ -11,10 +11,16 @@ from __future__ import annotations
 import pytest
 
 from repro.bitstream.bitgen import bitgen, generate_frames
-from repro.flow import run_flow
+from repro.flow import clear_flow_cache, run_flow
 from repro.workloads import ModuleSpec, build_module_netlist, figure4_plan, make_project
 
 BENCH_PART = "XCV100"
+
+
+@pytest.fixture(autouse=True)
+def _fresh_flow_cache():
+    """Start every benchmark with an empty flow cache."""
+    clear_flow_cache()
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from repro.bitstream.frames import FrameMemory
 from repro.core import Granularity, Jpg, JpgOptions
 from repro.core.partial import clb_column_frames
 from repro.devices import get_device, part_names
-from repro.flow import run_flow
+from repro.flow import clear_flow_cache, run_flow
 from repro.hwsim import Board
 from repro.jbits import JBits
 from repro.utils import format_table, si_bytes
@@ -93,6 +93,7 @@ def size_report(part: str):
 def pnr_report(part: str, plans):
     section(f"PNR — module vs full-design implementation time on {part} (paper §4.1)")
     base = build_base_netlist("base", plans)
+    clear_flow_cache()  # time real place-and-route, not a cache hit
     t_full = run_flow(base, part, seed=5)
     module = build_module_netlist("mod", "r1", plans[0].variants[1])
     t_mod = run_flow(module, part, seed=5)

@@ -1,7 +1,7 @@
 """CAD flow substrate (the "Foundation tools" equivalent): techmap, pack,
 place, route, timing, the NCD database, and the one-call flow driver."""
 
-from .driver import FlowResult, run_flow
+from .driver import FlowResult, clear_flow_cache, run_flow
 from .floorplan import AreaGroup, Constraints, RegionRect, full_device_region
 from .ncd import Bel, GclkComp, IobComp, NcdDesign, PhysNet, PinRef, SinkRef, SliceComp
 from .pack import PackStats, module_prefix, pack
@@ -15,6 +15,7 @@ __all__ = [
     "NcdDesign", "PLACER_ENGINES", "PackStats", "PhysNet", "PinRef",
     "PlacementStats", "Placer", "ROUTER_ENGINES", "RegionRect", "Router",
     "RoutingStats", "SinkRef", "SliceComp",
-    "TechmapStats", "TimingReport", "analyze", "full_device_region",
+    "TechmapStats", "TimingReport", "analyze", "clear_flow_cache",
+    "full_device_region",
     "module_prefix", "pack", "place", "route", "run_flow", "techmap",
 ]

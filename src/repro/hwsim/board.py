@@ -124,7 +124,8 @@ class Board:
 
     @property
     def total_config_seconds(self) -> float:
-        return sum(d.seconds for d in self.port.downloads)
+        """Configuration-port time so far: every download and readback."""
+        return self.port.total_cycles / self.port.cclk_hz
 
 
 class DesignHarness:

@@ -93,8 +93,11 @@ class ConfigPort:
         self.mode = mode
         self.cclk_hz = float(cclk_hz)
         self.fault_plan = fault_plan
+        #: CCLK cycles of every transfer, downloads and readbacks alike
         self.total_cycles = 0
-        self.downloads: list[DownloadReport] = []
+        #: completed downloads (a count, not a log: a long-lived board
+        #: would otherwise hold every report it was ever sent)
+        self.download_count = 0
 
     def cycles_for(self, nbytes: int) -> int:
         return nbytes * 8 // self.mode.bits_per_cycle
@@ -121,7 +124,7 @@ class ConfigPort:
             mode=self.mode,
             stats=stats,
         )
-        self.downloads.append(report)
+        self.download_count += 1
         if self.fault_plan is not None:
             self.fault_plan.after_download()
         return report

@@ -1,4 +1,5 @@
-"""Small shared helpers: bit packing, deterministic RNG, text tables.
+"""Small shared helpers: bit packing, deterministic RNG, an LRU store,
+text tables.
 
 The bitstream code paths operate on numpy ``uint32`` arrays (one row per
 configuration frame); the helpers here centralise the bit-numbering
@@ -11,7 +12,9 @@ convention so it is defined in exactly one place:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+import threading
+from collections import OrderedDict
+from collections.abc import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -149,6 +152,55 @@ class RngStream:
     def random(self) -> float:
         """``Generator.random()``: a double in ``[0, 1)``."""
         return (self._next64() >> 11) * (1.0 / 9007199254740992.0)
+
+
+class LruStore:
+    """A thread-safe map capped at ``cap`` entries, least recently used
+    out first.
+
+    ``get`` returns ``None`` for an absent key, so values must not be
+    ``None``.  ``hits``, ``misses`` and ``evictions`` count ``get`` and
+    ``put`` outcomes since construction or the last :meth:`clear`.
+    """
+
+    def __init__(self, cap: int):
+        if cap < 1:
+            raise ValueError(f"LRU cap must be at least 1, got {cap}")
+        self.cap = cap
+        self._entries: OrderedDict[Hashable, object] = OrderedDict()
+        self._lock = threading.Lock()
+        self.hits = self.misses = self.evictions = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Hashable):
+        """The value stored under ``key`` (now the most recently used),
+        or ``None``."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is None:
+                self.misses += 1
+            else:
+                self._entries.move_to_end(key)
+                self.hits += 1
+            return value
+
+    def put(self, key: Hashable, value: object) -> None:
+        """Store ``value`` as the most recently used entry, evicting past
+        the cap."""
+        with self._lock:
+            self._entries[key] = value
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.cap:
+                self._entries.popitem(last=False)
+                self.evictions += 1
+
+    def clear(self) -> None:
+        """Drop every entry and zero the counts."""
+        with self._lock:
+            self._entries.clear()
+            self.hits = self.misses = self.evictions = 0
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import hashlib
 import re
-import threading
-from collections import OrderedDict
 
 from ..devices import parse_iob_site, parse_slice_site
 from ..devices.wires import pip_by_wires
 from ..errors import DeviceError, XdlParseError
 from ..flow.ncd import GclkComp, IobComp, NcdDesign, PhysNet, PinRef, SinkRef, SliceComp
 from ..flow.pack import module_prefix
+from ..utils import LruStore
 
 # Token pieces.  A separator is whitespace and whole-line-tail comments.  A
 # word may not start with ``#`` (that starts a comment) or ``->`` (an arrow
@@ -370,8 +369,7 @@ def parse_xdl(text: str) -> NcdDesign:
 
 
 _PARSE_CACHE_MAX = 64  # not-a-frame-count
-_parse_cache: OrderedDict[str, NcdDesign] = OrderedDict()
-_parse_lock = threading.Lock()
+_parse_cache = LruStore(_PARSE_CACHE_MAX)
 
 
 def parse_xdl_cached(text: str) -> NcdDesign:
@@ -386,24 +384,16 @@ def parse_xdl_cached(text: str) -> NcdDesign:
     entries.
     """
     key = hashlib.sha256(text.encode()).hexdigest()
-    with _parse_lock:
-        design = _parse_cache.get(key)
-        if design is not None:
-            _parse_cache.move_to_end(key)
-            return design
-    design = parse_xdl(text)
-    with _parse_lock:
-        _parse_cache[key] = design
-        _parse_cache.move_to_end(key)
-        while len(_parse_cache) > _PARSE_CACHE_MAX:
-            _parse_cache.popitem(last=False)
+    design = _parse_cache.get(key)
+    if design is None:
+        design = parse_xdl(text)
+        _parse_cache.put(key, design)
     return design
 
 
 def clear_parse_cache() -> None:
     """Drop every memoized design (tests and long-lived services)."""
-    with _parse_lock:
-        _parse_cache.clear()
+    _parse_cache.clear()
 
 
 def load_xdl(path: str) -> NcdDesign:

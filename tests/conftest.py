@@ -11,7 +11,7 @@ import pytest
 
 from repro.bitstream.bitgen import bitgen, generate_frames
 from repro.devices import get_device
-from repro.flow import run_flow
+from repro.flow import clear_flow_cache, run_flow
 from repro.netlist import NetlistBuilder
 from repro.workloads import ModuleSpec, RegionPlan, make_project, slab_regions
 from repro.workloads.generators import attach_module
@@ -32,6 +32,13 @@ def build_comb_netlist(name: str = "comb"):
     b.output("y", b.xor_(b.and_(a, c), d))
     b.output("z", b.or_(a, b.not_(d)))
     return b.finish()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_flow_cache():
+    """Start every test with an empty flow cache, so a flow a test runs
+    is placed and routed unless the test itself repeats it."""
+    clear_flow_cache()
 
 
 @pytest.fixture(scope="session")

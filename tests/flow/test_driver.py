@@ -1,6 +1,6 @@
 """Flow driver tests."""
 
-from repro.flow import run_flow
+from repro.flow import clear_flow_cache, run_flow
 from repro.workloads import build_module_netlist, figure4_plan
 from tests.conftest import build_counter_netlist
 from tests.flow.test_route_golden import design_digest
@@ -45,7 +45,9 @@ class TestRunFlow:
         before = netlist_snapshot(nl)
         first = run_flow(nl, "XCV100", seed=3)
         assert netlist_snapshot(nl) == before
+        clear_flow_cache()  # the second run must place and route again
         second = run_flow(nl, "XCV100", seed=3)
+        assert not second.cached
         assert netlist_snapshot(nl) == before
         assert design_digest(first.design) == design_digest(second.design)
 

@@ -10,7 +10,9 @@ acceptance rule shows here.
   (``test_vectorized.py``) places; each is checked on both engines.
 * The slow sweep covers all 36 XCV100 full-chip Figure-4 combinations
   at seeds 0, 3 and 11, and every guided Figure-4 module version at
-  seeds 0 and 5 (each against a base placed at the same seed).
+  seeds 0 and 5 (each against a base placed at the same seed).  Each
+  of its flows runs twice: placed fresh, then served from the flow
+  cache, and both passes must match.
 
 Regenerate the tables with ``PYTHONPATH=src python -m
 tests.flow.test_place_golden`` — but only when a placement change is
@@ -220,8 +222,9 @@ def xcv50_digests(engine):
     yield "flow6/guided/seed2", placement_digest(guided.design, guided.place_stats)
 
 
-def xcv100_digests():
-    """Yield (label, digest) for the Figure-4 sweep on XCV100."""
+def xcv100_digests(flow=run_flow):
+    """Yield (label, digest) for the Figure-4 sweep on XCV100, running
+    each flow through ``flow``."""
     part = "XCV100"
     plans = figure4_plan(part)
     constraints = flow_constraints(plans)
@@ -229,21 +232,21 @@ def xcv100_digests():
         for choice in enumerate_combinations(plans):
             label = "_".join(f"{r}-{v}" for r, v in sorted(choice.items()))
             netlist = build_combination_netlist(f"combo_{label}", plans, choice)
-            flow = run_flow(netlist, part, constraints, seed=seed)
+            result = flow(netlist, part, constraints, seed=seed)
             yield (f"full/{label}/seed{seed}",
-                   placement_digest(flow.design, flow.place_stats))
+                   placement_digest(result.design, result.place_stats))
     for seed in (0, 5):
-        base = run_flow(build_base_netlist("xcv100_base", plans), part,
-                        constraints, seed=seed)
+        base = flow(build_base_netlist("xcv100_base", plans), part,
+                    constraints, seed=seed)
         yield f"base/seed{seed}", placement_digest(base.design, base.place_stats)
         for plan in plans:
             for spec in plan.variants:
                 version = version_name(spec)
                 netlist = build_module_netlist(f"{plan.name}_{version}", plan.name, spec)
-                flow = run_flow(netlist, part, flow_constraints([plan]),
-                                guide=base.design, seed=seed)
+                result = flow(netlist, part, flow_constraints([plan]),
+                              guide=base.design, seed=seed)
                 yield (f"{plan.name}/{version}/seed{seed}",
-                       placement_digest(flow.design, flow.place_stats))
+                       placement_digest(result.design, result.place_stats))
 
 
 @pytest.mark.parametrize("engine", PLACER_ENGINES)
@@ -253,9 +256,19 @@ def test_xcv50_placements_match_golden(engine):
 
 @pytest.mark.slow
 def test_xcv100_sweep_matches_golden():
-    digests = dict(xcv100_digests())
+    cached = []
+
+    def fresh_then_cached(*args, **kwargs):
+        fresh = run_flow(*args, **kwargs)
+        hit = run_flow(*args, **kwargs)
+        assert (fresh.cached, hit.cached) == (False, True)
+        cached.append(placement_digest(hit.design, hit.place_stats))
+        return fresh
+
+    digests = dict(xcv100_digests(fresh_then_cached))
     assert len(digests) == 36 * 3 + 2 * (1 + 10)
     assert digests == GOLDEN_XCV100
+    assert dict(zip(digests, cached)) == GOLDEN_XCV100
 
 
 if __name__ == "__main__":  # print the tables to paste above

@@ -12,6 +12,9 @@ every net's sorted PIPs, and every sink's physical pin and delay.
   Figure-4 XCV100 base and the XCV1000 scale base) at seed 5 on both
   engines; slow-marked.
 
+The slow tests also rebuild ``GOLDEN`` and ``GOLDEN_FLOW_CASES`` a second
+time, served from the flow cache, and hold that pass to the same digests.
+
 A change to the placer, the router or the device graph that alters any
 of them fails here, whichever engine it touches.  Print the tables with
 ``PYTHONPATH=src python -m tests.flow.test_route_golden`` — but paste
@@ -90,27 +93,28 @@ def design_digest(design) -> str:
     return h.hexdigest()
 
 
-def golden_designs():
-    """Yield (label, routed design) for every design the fixture pins."""
+def golden_designs(flow=run_flow):
+    """Yield (label, routed design) for every design the fixture pins,
+    running each flow through ``flow``."""
     plans = figure4_plan(PART)
     constraints = flow_constraints(plans)
-    base = run_flow(build_base_netlist("xcv100_base", plans), PART, constraints,
-                    seed=0).design
+    base = flow(build_base_netlist("xcv100_base", plans), PART, constraints,
+                seed=0).design
     yield "base", base
     for plan in plans:
         for spec in plan.variants:
             version = version_name(spec)
             netlist = build_module_netlist(f"{plan.name}_{version}", plan.name, spec)
-            flow = run_flow(netlist, PART, flow_constraints([plan]), guide=base, seed=0)
-            yield f"{plan.name}/{version}", flow.design
+            result = flow(netlist, PART, flow_constraints([plan]), guide=base, seed=0)
+            yield f"{plan.name}/{version}", result.design
     combos = enumerate_combinations(plans)
     picks = (len(combos) // 4, len(combos) // 2, len(combos) - 1)
     for seed, index in enumerate(picks):
         choice = combos[index]
         label = "_".join(f"{r}-{v}" for r, v in sorted(choice.items()))
         netlist = build_combination_netlist(f"combo_{label}", plans, choice)
-        flow = run_flow(netlist, PART, constraints, seed=seed)
-        yield f"full/{label}/seed{seed}", flow.design
+        result = flow(netlist, PART, constraints, seed=seed)
+        yield f"full/{label}/seed{seed}", result.design
 
 
 def xcv50_designs(engine):
@@ -129,12 +133,12 @@ def xcv50_designs(engine):
     yield "flow6/guided/seed2", guided.design
 
 
-def flow_case_designs(engine):
+def flow_case_designs(engine, flow=run_flow):
     """Yield (label, routed design) for every ``flow_cases()`` design."""
     for label, part, netlist, constraints in flow_cases():
-        flow = run_flow(netlist, part, constraints, seed=FLOW_CASE_SEED,
-                        engine=engine)
-        yield f"{label}/seed{FLOW_CASE_SEED}", flow.design
+        result = flow(netlist, part, constraints, seed=FLOW_CASE_SEED,
+                      engine=engine)
+        yield f"{label}/seed{FLOW_CASE_SEED}", result.design
 
 
 @pytest.fixture(scope="module")
@@ -158,11 +162,28 @@ def test_xcv50_routing_matches_golden(engine):
     assert got == GOLDEN_XCV50
 
 
+def _served_from_cache(*args, **kwargs):
+    result = run_flow(*args, **kwargs)
+    assert result.cached
+    return result
+
+
+@pytest.mark.slow
+def test_cached_pass_matches_golden():
+    fresh = {label: design_digest(d) for label, d in golden_designs()}
+    cached = {label: design_digest(d) for label, d in golden_designs(_served_from_cache)}
+    assert fresh == GOLDEN
+    assert cached == GOLDEN
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("engine", ROUTER_ENGINES)
 def test_flow_cases_match_golden(engine):
     got = {label: design_digest(d) for label, d in flow_case_designs(engine)}
     assert got == GOLDEN_FLOW_CASES
+    cached = {label: design_digest(d)
+              for label, d in flow_case_designs(engine, _served_from_cache)}
+    assert cached == GOLDEN_FLOW_CASES
 
 
 if __name__ == "__main__":  # print the tables to paste above

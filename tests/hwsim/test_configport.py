@@ -44,8 +44,34 @@ class TestDownload:
         port = ConfigPort(fm)
         port.download(counter_bitfile.config_bytes)
         port.download(counter_bitfile.config_bytes)
-        assert len(port.downloads) == 2
+        assert port.download_count == 2
         assert port.total_cycles == 2 * counter_bitfile.size
+
+    def test_many_downloads_keep_the_port_flat(self, counter_frames):
+        """The port keeps counts, not a log: a long-lived board must not
+        grow with the number of downloads it has been sent."""
+        import gc
+        import tracemalloc
+
+        from repro.bitstream.assembler import partial_stream
+
+        port = ConfigPort(FrameMemory(get_device("XCV50")))
+        data = partial_stream(counter_frames, range(2))
+        for _ in range(10):
+            port.download(data)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(1000):
+                port.download(data)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert port.download_count == 1010
+        assert port.total_cycles == 1010 * len(data)
+        assert grown < 16 * 1024
 
     def test_partial_download_faster_than_full(self, counter_bitfile, counter_frames):
         from repro.bitstream.assembler import partial_stream

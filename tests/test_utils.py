@@ -118,6 +118,46 @@ class TestRngStream:
             utils.RngStream(0).integers(*args)
 
 
+class TestLruStore:
+    def test_get_put_and_counts(self):
+        store = utils.LruStore(2)
+        assert store.get("a") is None
+        store.put("a", 1)
+        assert store.get("a") == 1
+        assert (store.hits, store.misses, store.evictions, len(store)) == (1, 1, 0, 1)
+
+    def test_least_recently_used_goes_first(self):
+        store = utils.LruStore(2)
+        store.put("a", 1)
+        store.put("b", 2)
+        store.get("a")            # "b" is now the oldest
+        store.put("c", 3)
+        assert store.get("b") is None
+        assert (store.get("a"), store.get("c")) == (1, 3)
+        assert store.evictions == 1
+
+    def test_put_refreshes_an_existing_key(self):
+        store = utils.LruStore(2)
+        store.put("a", 1)
+        store.put("b", 2)
+        store.put("a", 10)
+        store.put("c", 3)
+        assert store.get("a") == 10 and store.get("b") is None
+
+    def test_clear_drops_entries_and_counts(self):
+        store = utils.LruStore(1)
+        store.put("a", 1)
+        store.put("b", 2)
+        store.get("b")
+        store.clear()
+        assert len(store) == 0 and store.get("b") is None
+        assert (store.hits, store.misses, store.evictions) == (0, 1, 0)
+
+    def test_cap_must_be_positive(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            utils.LruStore(0)
+
+
 class TestFormatting:
     def test_table_alignment(self):
         out = utils.format_table(["a", "long_header"], [["xx", 1], ["y", 22]])
