@@ -186,7 +186,8 @@ class BatchJpg:
         self.part = part
         self.base_design = base_design
         self.cache = cache if cache is not None else FrameCache()
-        self.metrics = metrics if metrics is not None else Metrics()
+        # aggregates only: kept events grow by one per stage for the engine's life
+        self.metrics = metrics if metrics is not None else Metrics(keep_events=False)
         self.max_workers = max_workers
         self.backend = get_backend(backend)
         if isinstance(base_bitstream, FrameMemory) and full_size is not None:

@@ -15,6 +15,7 @@ Bit order within a frame follows :mod:`repro.utils`: bit ``b`` is word
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +24,23 @@ from ..devices import Device
 from ..devices.geometry import BITS_PER_ROW, IobSite
 from ..devices.resources import BitCoord, Field
 from ..errors import BitstreamError, DeviceError
+
+
+@dataclass
+class BitWrites:
+    """Single-bit writes in write order: write ``i`` sets bit ``bits[i]``
+    of frame ``frames[i]`` to ``values[i]`` (0 or 1).
+
+    bitgen builds one for a whole design and :meth:`FrameMemory.apply_bits`
+    lands it in one scatter instead of one ``set_bit`` call per bit.
+    """
+
+    frames: list[int] = field(default_factory=list)
+    bits: list[int] = field(default_factory=list)
+    values: list[int] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.frames)
 
 
 class FrameMemory:
@@ -143,6 +161,44 @@ class FrameMemory:
                 f"bit {bit} beyond frame payload ({self.device.geometry.frame_bits})"
             )
         utils.set_bit(self.data[frame], bit, value)
+
+    def apply_bits(self, writes: BitWrites) -> list[int]:
+        """Apply ``writes`` in one scatter; returns the sorted frames whose
+        words changed.
+
+        The result equals calling :meth:`set_bit` for each write in order:
+        a bit written twice keeps its last value.  Every write is checked
+        first, and the first bad one raises what :meth:`set_bit` would
+        (:class:`DeviceError` for its frame, :class:`BitstreamError` for its
+        bit) with no frame changed.
+        """
+        if not writes:
+            return []
+        frames = np.asarray(writes.frames, dtype=np.int64)
+        bits = np.asarray(writes.bits, dtype=np.int64)
+        frame_bits = self.device.geometry.frame_bits
+        bad = (frames < 0) | (frames >= self.data.shape[0]) | (bits < 0) | (bits >= frame_bits)
+        if bad.any():
+            i = int(np.argmax(bad))
+            self._check_frame(int(frames[i]))
+            raise BitstreamError(f"bit {int(bits[i])} beyond frame payload ({frame_bits})")
+        words = self.data.shape[1]
+        # one key per bit of the memory; a reversed first occurrence is the
+        # last write of that bit
+        keys = frames * (32 * words) + bits
+        keys, last = np.unique(keys[::-1], return_index=True)
+        values = np.asarray(writes.values, dtype=bool)[::-1][last]
+        masks = np.left_shift(np.uint32(1), (31 - (keys & 31)).astype(np.uint32))
+        word_keys = keys >> 5
+        starts = np.flatnonzero(np.r_[True, word_keys[1:] != word_keys[:-1]])
+        touched = np.bitwise_or.reduceat(masks, starts)
+        ones = np.bitwise_or.reduceat(np.where(values, masks, np.uint32(0)), starts)
+        rows, cols = np.divmod(word_keys[starts], words)
+        old = self.data[rows, cols]
+        new = (old & ~touched) | ones
+        self.data[rows, cols] = new
+        # rows ascend; not np.unique, which imports numpy.ma (~1.6 MB) on first use
+        return sorted(set(rows[old != new].tolist()))
 
     # -- CLB resource access --------------------------------------------------------
 

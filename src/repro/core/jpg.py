@@ -11,7 +11,7 @@ pipeline for one re-implemented sub-module:
 2. verify the module stayed inside its floorplanned region and preserves
    the base design's interface,
 3. replay the implementation onto the device model via JBits calls
-   (clearing the region, then merging the module's frames),
+   (clearing the region, then writing the module's bits in place),
 4. emit the partial bitstream — either to disk (option 1) or straight onto
    the base design / an attached board over XHWIF (option 2).
 
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from ..bitstream.assembler import full_stream_size
 from ..bitstream.bitfile import BitFile
-from ..bitstream.bitgen import generate_frames
+from ..bitstream.bitgen import bit_writes
 from ..bitstream.frames import FrameMemory
 from ..devices import packaged_name
 from ..errors import JpgError
@@ -87,7 +87,7 @@ class JpgOptions:
     """Knobs of one make_partial run."""
 
     granularity: Granularity = Granularity.COLUMN
-    clear_region: bool = True         # zero the region's tiles before merging
+    clear_region: bool = True         # zero the region's tiles before the replay
     check_region: bool = True
     check_interface: bool = True
     startup: bool = False             # re-run startup after the write
@@ -181,8 +181,7 @@ class Jpg:
 
         # 2. replay the module's implementation onto the configuration
         with metrics.stage("jpg.replay", module=design.name):
-            merged = generate_frames(design, base=self.frames)
-            self.jbits.merge_frames(merged)
+            self.jbits.apply_bits(bit_writes(design))
 
         # 3. pick the frame set
         with metrics.stage("jpg.frame_select", module=design.name):
@@ -241,9 +240,10 @@ class Jpg:
         With a :class:`~repro.batch.cache.FrameCache` attached, the cleared
         state is keyed by (current configuration content, region footprint)
         and shared: every later clear of the same region on the same base
-        restores the cached frames instead of re-zeroing them.  The
-        content key is ``base_key`` when the caller knows the current
-        frames are still the base, else a fresh hash of them.
+        copies the region's column frames back from the cached state
+        instead of re-zeroing them.  The content key is ``base_key`` when
+        the caller knows the current frames are still the base, else a
+        fresh hash of them.
         """
         if self.frame_cache is None:
             self.jbits.clear_region(region)
@@ -252,18 +252,27 @@ class Jpg:
         if base_key is None:
             base_key = self.frame_cache.base_key(self.frames)
 
+        computed = False
+
         def compute() -> tuple[FrameMemory, frozenset[int]]:
+            nonlocal computed
+            computed = True
             prev = set(self.jbits.dirty_frames)
             self.jbits.clear_region(region)
             added = frozenset(set(self.jbits.dirty_frames) - prev)
             return self.frames.clone(), added
 
-        prev_dirty = set(self.jbits.dirty_frames)
         cleared, clear_dirty = self.frame_cache.cleared(base_key, region, compute)
-        # converge on the cached state whether compute() ran here (miss,
-        # frames already cleared in place) or in another generation (hit)
-        self.jbits.read(cleared)
-        self.jbits.touch_frames(prev_dirty | clear_dirty)
+        if computed:
+            return  # the frames were cleared in place, dirty set and all
+        # a hit: the cached state was cleared from frames equal to these, so
+        # it differs from them only inside the region's CLB columns
+        g = self.jbits.device.geometry
+        for col in region.clb_columns():
+            major = g.major_of_clb_col(col)
+            block = slice(g.frame_base(major), g.frame_base(major) + g.columns[major].frames)
+            self.frames.data[block] = cleared.data[block]
+        self.jbits.touch_frames(clear_dirty)
 
     def _as_design(self, module: NcdDesign | str) -> NcdDesign:
         if isinstance(module, NcdDesign):

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from ..bitstream.assembler import full_stream, partial_stream
 from ..bitstream.bitfile import BitFile
-from ..bitstream.frames import FrameMemory
+from ..bitstream.frames import BitWrites, FrameMemory
 from ..bitstream.reader import apply_bitstream
 from ..devices import BITS_PER_ROW, Device, Field, IobSite, get_device
 from ..devices.resources import SLICE
@@ -193,8 +193,7 @@ class JBits:
 
     def merge_frames(self, other: FrameMemory) -> list[int]:
         """Overwrite this configuration with ``other`` wherever they differ,
-        dirtying exactly the changed frames.  Returns those frame indices.
-        (How JPG lands a re-implemented module onto the base design.)"""
+        dirtying exactly the changed frames.  Returns those frame indices."""
         fm = self._require()
         if other.device != self.device:
             raise JBitsError("cannot merge frames from a different part")
@@ -202,6 +201,16 @@ class JBits:
         if changed:
             fm.data[changed] = other.data[changed]
             self._dirty.update(changed)
+        return changed
+
+    def apply_bits(self, writes: BitWrites) -> list[int]:
+        """Apply a bit write list (:func:`repro.bitstream.bitgen.bit_writes`)
+        in place, dirtying exactly the frames whose words changed.  Returns
+        those frames, sorted.  Equal to :meth:`merge_frames` of a clone with
+        the writes applied, without the clone or the whole-device diff.
+        (How JPG lands a re-implemented module onto the base design.)"""
+        changed = self._require().apply_bits(writes)
+        self._dirty.update(changed)
         return changed
 
     # -- dirty tracking / output --------------------------------------------------------
@@ -214,11 +223,14 @@ class JBits:
     def touch_frames(self, frames: Iterable[int]) -> None:
         """Force frames into the dirty set (used for column-aligned
         partials that rewrite a whole region regardless of diffs)."""
+        frames = list(frames)
+        if not frames:
+            return
         total = self.device.geometry.total_frames
-        for f in frames:
+        for f in (min(frames), max(frames)):
             if not 0 <= f < total:
                 raise JBitsError(f"frame {f} out of range 0..{total - 1}")
-            self._dirty.add(f)
+        self._dirty.update(frames)
 
     def checkpoint(self) -> None:
         """Clear dirty tracking (after emitting a partial)."""

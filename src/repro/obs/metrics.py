@@ -35,6 +35,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 
 @dataclass(frozen=True)
@@ -210,7 +211,7 @@ class Metrics:
     def gauge(self, name: str, value: float) -> None:
         """Sample gauge ``name`` at ``value`` (tracks last/min/max)."""
         with self._lock:
-            self.gauges.setdefault(name, GaugeStats()).set(value)
+            _slot(self.gauges, name, GaugeStats).set(value)
 
     def gauge_value(self, name: str) -> float:
         """Last sampled value of gauge ``name`` (0.0 if never sampled)."""
@@ -224,7 +225,7 @@ class Metrics:
         """Feed one value into histogram ``name`` (latency, sizes, depths)
         for later quantile export — independent of any timer."""
         with self._lock:
-            self.histograms.setdefault(name, ReservoirHistogram()).record(value)
+            _slot(self.histograms, name, ReservoirHistogram).record(value)
 
     def quantile(self, name: str, q: float) -> float:
         """The ``q``-quantile of histogram ``name`` (0.0 if never observed)."""
@@ -252,8 +253,8 @@ class Metrics:
         latency histogram (p50/p95/p99 export), and emits an event."""
         event = StageEvent(stage, seconds, detail)
         with self._lock:
-            self.timers.setdefault(stage, TimerStats()).record(seconds)
-            self.histograms.setdefault(stage, ReservoirHistogram()).record(seconds)
+            _slot(self.timers, stage, TimerStats).record(seconds)
+            _slot(self.histograms, stage, ReservoirHistogram).record(seconds)
             if self.keep_events:
                 self.events.append(event)
             sink = self.sink
@@ -288,19 +289,19 @@ class Metrics:
             for name, n in counters.items():
                 self.counters[name] = self.counters.get(name, 0) + n
             for name, t in timers.items():
-                mine = self.timers.setdefault(name, TimerStats())
+                mine = _slot(self.timers, name, TimerStats)
                 mine.count += t["count"]
                 mine.total += t["total"]
                 mine.min = min(mine.min, t["min"])
                 mine.max = max(mine.max, t["max"])
             for name, g in gauges.items():
-                mine = self.gauges.setdefault(name, GaugeStats())
+                mine = _slot(self.gauges, name, GaugeStats)
                 mine.last = g["last"]
                 mine.min = min(mine.min, g["min"])
                 mine.max = max(mine.max, g["max"])
                 mine.updates += g["updates"]
             for name, h in histograms.items():
-                mine = self.histograms.setdefault(name, ReservoirHistogram())
+                mine = _slot(self.histograms, name, ReservoirHistogram)
                 mine.absorb(h["count"], h.get("samples", ()),
                             total=h.get("total"), min_value=h.get("min"),
                             max_value=h.get("max"))
@@ -338,6 +339,19 @@ class Metrics:
             (name, t.count, f"{1e3 * t.total:.1f} ms", f"{1e3 * t.mean:.2f} ms")
             for name, t in items
         ]
+
+
+T = TypeVar("T")
+
+
+def _slot(table: dict[str, T], name: str, make: Callable[[], T]) -> T:
+    """``table[name]``, made on first use.  Not ``setdefault``, which would
+    build (and, for a histogram, seed an RNG for) a throwaway default on
+    every call."""
+    item = table.get(name)
+    if item is None:
+        item = table[name] = make()
+    return item
 
 
 class NullMetrics(Metrics):

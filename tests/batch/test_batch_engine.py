@@ -147,6 +147,29 @@ class TestRun:
         assert cache.stats.misses == 2
         assert cache.stats.hits == 6
 
+    def test_default_registry_keeps_no_events(self, demo_project):
+        """A long-lived engine keeps aggregates only: repeated runs do not
+        grow memory with one StageEvent per stage."""
+        import tracemalloc
+
+        engine = BatchJpg(demo_project.part, demo_project.base_bitfile)
+        assert engine.metrics.keep_events is False
+        items = items_from_project(demo_project)
+        engine.run(items, max_workers=1)  # warm every cache and registry slot
+        tracemalloc.start()
+        try:
+            engine.run(items, max_workers=1)
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                engine.run(items, max_workers=1)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert engine.metrics.events == []
+        assert engine.metrics.counter("jpg.partials") == 28
+        # keeping events, 5 runs x 4 items grow ~60 KB (7 KB without)
+        assert grown < 16_000
+
     def test_full_size_matches_complete_stream(self, demo_project, engine):
         assert engine.full_size == len(
             Jpg(demo_project.part, demo_project.base_bitfile).full_bitstream()

@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.bitstream.bitgen import bitgen, generate_frames
-from repro.bitstream.frames import FrameMemory
+from repro.bitstream.bitgen import bit_writes, bitgen, generate_frames
 from repro.bitstream.reader import parse_bitstream
 from repro.devices import get_device
 from repro.devices.resources import SLICE
 from repro.errors import FlowError
 from repro.flow.ncd import NcdDesign
+from repro.jbits import JBits
 from repro.netlist.library import expand_init
 
 
@@ -52,12 +52,16 @@ class TestGenerateFrames:
         f2 = generate_frames(counter_flow.design)
         assert np.array_equal(f1.data, f2.data)
 
-    def test_base_overlay(self, counter_flow):
-        dev = get_device("XCV50")
-        base = FrameMemory(dev)
-        base.set_field(15, 23, SLICE[1].G, 0xCAFE)  # far corner, untouched
-        merged = generate_frames(counter_flow.design, base=base)
-        assert merged.get_field(15, 23, SLICE[1].G) == 0xCAFE
+    def test_base_overlay(self, counter_flow, counter_frames):
+        jb = JBits("XCV50")
+        jb.blank()
+        jb.set(15, 23, SLICE[1].G, 0xCAFE)  # far corner, untouched
+        jb.checkpoint()
+        changed = jb.apply_bits(bit_writes(counter_flow.design))
+        assert jb.get(15, 23, SLICE[1].G) == 0xCAFE
+        assert changed == jb.dirty_frames == counter_frames.nonzero_frames()
+        jb.set(15, 23, SLICE[1].G, 0)
+        assert jb.frames == counter_frames
 
     def test_unplaced_rejected(self):
         design = NcdDesign("empty", "XCV50")

@@ -140,8 +140,14 @@ class TestPartials:
     def test_touch_frames(self, jb):
         jb.touch_frames([10, 11, 12])
         assert jb.dirty_frames == [10, 11, 12]
+        jb.touch_frames(f for f in (13, 10))  # any iterable, checked once
+        jb.touch_frames([])
+        assert jb.dirty_frames == [10, 11, 12, 13]
         with pytest.raises(JBitsError):
             jb.touch_frames([99999])
+        with pytest.raises(JBitsError, match=r"frame -1 out of range 0\.\."):
+            jb.touch_frames([5, -1])
+        assert jb.dirty_frames == [10, 11, 12, 13]
 
     def test_full_write_roundtrip(self, jb):
         jb.set(0, 0, SLICE[0].F, 0x8888)

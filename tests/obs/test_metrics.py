@@ -310,3 +310,55 @@ class TestMetricsHistograms:
 
     def test_null_metrics_observe_is_noop(self):
         NULL_METRICS.observe("x", 1.0)  # must not raise or record
+
+
+class TestStatsCreatedOnFirstUse:
+    """Each named timer, gauge and histogram is built once, on its first
+    use — not once per call, as ``setdefault(name, Stats())`` would."""
+
+    @pytest.fixture()
+    def constructions(self, monkeypatch):
+        from repro.obs import metrics as metrics_module
+
+        made: dict[str, int] = {}
+
+        def counting(cls):
+            class Counted(cls):
+                def __init__(self, *args, **kwargs):
+                    made[cls.__name__] = made.get(cls.__name__, 0) + 1
+                    super().__init__(*args, **kwargs)
+            monkeypatch.setattr(metrics_module, cls.__name__, Counted)
+
+        for cls in (metrics_module.TimerStats, metrics_module.GaugeStats,
+                    metrics_module.ReservoirHistogram):
+            counting(cls)
+        return made
+
+    def test_one_construction_per_name(self, constructions):
+        m = Metrics()
+        for i in range(50):
+            m.record("jpg.replay", 0.001 * i)
+            with m.stage("jpg.emit"):
+                pass
+            m.observe("serve.wire", 0.5)
+            m.gauge("exec.pool_workers", i)
+        # timers: replay, emit; histograms: replay, emit, serve.wire
+        assert constructions == {"TimerStats": 2, "ReservoirHistogram": 3,
+                                 "GaugeStats": 1}
+        assert m.timers["jpg.replay"].count == 50
+        assert m.histograms["jpg.emit"].count == 50
+        assert m.gauges["exec.pool_workers"].updates == 50
+
+    def test_merge_builds_only_missing_names(self, constructions):
+        worker = Metrics()
+        worker.record("jpg.emit", 0.1)
+        worker.gauge("exec.pool_workers", 2)
+        snapshot = worker.snapshot()
+        constructions.clear()
+        parent = Metrics()
+        for _ in range(10):
+            parent.merge(snapshot)
+        assert constructions == {"TimerStats": 1, "ReservoirHistogram": 1,
+                                 "GaugeStats": 1}
+        assert parent.timers["jpg.emit"].count == 10
+        assert parent.histograms["jpg.emit"].count == 10
