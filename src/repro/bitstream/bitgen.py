@@ -41,10 +41,10 @@ def bit_writes(design: NcdDesign) -> BitWrites:
     Applying it to a blank memory gives :func:`generate_frames`; applying
     it to a live configuration (:meth:`repro.jbits.JBits.apply_bits`) drops
     the module onto it.  Every error is raised here, before any frame is
-    written: :class:`FlowError` for an unplaced or unrouted design, an
-    unplaced IOB or a clock buffer without an index, :class:`DeviceError`
-    for a tile off the device, :class:`BitstreamError` for a value that
-    does not fit its field.
+    written: :class:`FlowError` for an unplaced or unrouted design (an
+    unplaced IOB counts as unplaced) or a clock buffer without an index,
+    :class:`DeviceError` for a tile off the device, :class:`BitstreamError`
+    for a value that does not fit its field.
     """
     metrics = current_metrics()
     with metrics.stage("bitgen.generate_frames", design=design.name,
@@ -114,8 +114,6 @@ def _bit_writes(design: NcdDesign) -> BitWrites:
             values.append(1)
 
     for iob in design.iobs.values():
-        if iob.site is None:
-            raise FlowError(f"IOB {iob.name} unplaced")
         frame, bit = device.iob_bit_location(iob.site, 0 if iob.direction == "in" else 1)
         frames.append(frame)
         bits.append(bit)

@@ -1,4 +1,4 @@
-"""The distributed generation cluster (``jpg cluster`` / ``jpg loadgen``).
+"""The distributed generation cluster (``jpg serve`` fleets, ``jpg loadgen``).
 
 One ``jpg serve`` node already makes repeated work free (persistent
 disk cache, coalescing scheduler, pooled backends).  This package scales
@@ -9,11 +9,12 @@ that *horizontally* while keeping every byte identical:
   coordinates) owns exactly one node, so the fleet is a sharded
   content-addressed store and N nodes means N disjoint caches, not N
   copies of one.
-* :mod:`repro.cluster.router` — the front-end process: speaks the same
-  JSON-lines protocol as a single node, consistent-hashes submits onto
-  the fleet, health-checks members (ping + deadline), drains in-flight
-  requests off a dying node by failing them over to the re-hashed
-  owner, and re-shards automatically on membership change.
+* :mod:`repro.cluster.client` — fleet membership (a static map or the
+  mtime-reloaded fleet file) and :class:`FleetClient`, which routes on
+  the client: it sends each submit to its key's owner and, when that
+  node cannot be reached, to the next owner on the ring.  There is no
+  front-end process; every client holding the fleet file agrees on
+  placement.
 * :mod:`repro.cluster.peers` — tier 2 of the cache: on a local disk
   miss a node asks the key's owning peer for its cached bytes (wire
   ``fetch`` op, strictly cache-to-cache) before generating, so a
@@ -24,37 +25,34 @@ that *horizontally* while keeping every byte identical:
   zipf-skewed synthetic replay, p50/p95/p99 latency, per-tier hit
   ratios, and byte-identity verification against direct generation.
 
-See ``docs/ARCHITECTURE.md`` ("Cluster") for the full design.
+See ``docs/ARCHITECTURE.md`` ("The cluster") for the full design.
 """
 
+from .client import FleetClient, Membership, connect
 from .fleet import LocalFleet
 from .loadgen import (
     KeySpec,
     ReplayStats,
-    RouterThread,
     Workload,
     build_workload,
     replay,
     run_harness,
     zipf_sequence,
 )
-from .peers import Membership, PeerFiller
+from .peers import PeerFiller
 from .ring import HashRing, request_key
-from .router import NodeDownError, NodeLink, Router
 
 __all__ = [
+    "FleetClient",
     "HashRing",
     "KeySpec",
     "LocalFleet",
     "Membership",
-    "NodeDownError",
-    "NodeLink",
     "PeerFiller",
     "ReplayStats",
-    "Router",
-    "RouterThread",
     "Workload",
     "build_workload",
+    "connect",
     "replay",
     "request_key",
     "run_harness",

@@ -1,16 +1,16 @@
 """Spawn and manage a local worker fleet (one process per node).
 
-:class:`LocalFleet` is the bootstrap half of ``jpg cluster --spawn N``
-and the loopback fleet behind the load harness and the CI smoke job.  It
-solves the two-phase startup problem: each worker must bind before its
-address is known (ephemeral ports), but peer fill needs the *full*
-membership.  So:
+:class:`LocalFleet` is the loopback fleet behind the load harness and the
+CI smoke job; clients reach it through its fleet file
+(:attr:`LocalFleet.fleet_file`), routing on the client.  It solves the
+two-phase startup problem: each worker must bind before its address is
+known (ephemeral ports), but peer fill needs the *full* membership.  So:
 
 1. every worker starts with ``--tcp 127.0.0.1:0 --port-file <pf>`` and
    publishes its bound port by writing the file atomically;
 2. the spawner collects all port files and writes the shared *fleet
    file* (``{"nodes": {name: "host:port"}}``);
-3. each worker's :class:`~repro.cluster.peers.Membership` picks the
+3. each worker's :class:`~repro.cluster.Membership` picks the
    fleet file up on mtime change — no restart, no ordering dependency.
 
 Workers are real ``jpg serve`` processes (own interpreter, own
@@ -52,8 +52,8 @@ class LocalFleet:
     drains in-flight requests — see
     :meth:`~repro.serve.protocol.JpgServer.request_shutdown`) and
     escalates to SIGKILL only for stragglers.  :meth:`kill` is the chaos
-    hook: immediate SIGKILL of one node, no drain, for testing router
-    failover.
+    hook: immediate SIGKILL of one node, no drain, for testing client
+    failover to the next owner.
     """
 
     def __init__(

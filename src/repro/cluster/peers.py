@@ -1,20 +1,9 @@
-"""Fleet membership and the two-tier peer-fill cache client.
-
-**Membership** is a ``name -> address`` map.  :class:`Membership` serves
-it from a literal dict or from a JSON *fleet file*::
-
-    {"nodes": {"n0": "127.0.0.1:4101", "n1": "127.0.0.1:4102"}}
-
-The file form is how a spawned fleet bootstraps (each worker binds an
-ephemeral port before the full membership is known — the spawner writes
-the fleet file once every port is published) and how operators re-shard a
-running fleet: the file is re-read on mtime change, so edits take effect
-on the next request without restarts.
+"""The two-tier peer-fill cache client.
 
 **Peer fill** is tier 2 of the cluster cache.  Tier 1 is each node's own
 :class:`~repro.serve.diskcache.DiskCache`; on a tier-1 miss the node asks
 the key's *owning* peer (consistent hash over the current membership) for
-its cached bytes before generating.  In steady state the router already
+its cached bytes before generating.  In steady state the client already
 sent the request to the owner, so peer fill is a no-op; after a
 membership change or a node restart it is what re-warms the fleet from
 itself instead of regenerating — the content-addressed key makes the
@@ -25,127 +14,52 @@ generating locally: peer fill can only ever *save* work.
 
 from __future__ import annotations
 
-import contextlib
-import json
-import os
-import threading
-from collections.abc import Mapping
-
+from ..errors import ServiceUnavailableError
 from ..obs import current_metrics
-from ..serve.protocol import ServeClient
-from .ring import HashRing, request_key
-
-
-class Membership:
-    """A live ``name -> address`` view of the fleet.
-
-    Static (a literal mapping) or file-backed (re-read when the fleet
-    file's mtime changes).  Unreadable or malformed files keep the last
-    good view, so a half-written edit never empties the fleet.
-    """
-
-    def __init__(self, nodes: Mapping[str, str] | None = None, *,
-                 path: str | None = None):
-        self._static = dict(nodes) if nodes is not None else None
-        self._path = path
-        self._cached: dict[str, str] = dict(self._static or {})
-        self._mtime: float | None = None
-        self._lock = threading.Lock()
-
-    def nodes(self) -> dict[str, str]:
-        """The current membership map (a copy; safe to mutate)."""
-        if self._path is None:
-            return dict(self._cached)
-        with self._lock:
-            try:
-                mtime = os.stat(self._path).st_mtime
-            except OSError:
-                return dict(self._cached)
-            if mtime != self._mtime:
-                try:
-                    with open(self._path, encoding="utf-8") as f:
-                        loaded = json.load(f)
-                    parsed = {str(k): str(v)
-                              for k, v in dict(loaded.get("nodes", {})).items()}
-                except (OSError, ValueError, AttributeError):
-                    return dict(self._cached)
-                self._cached = parsed
-                self._mtime = mtime
-            return dict(self._cached)
-
-    def address(self, name: str) -> str | None:
-        """The dial address of ``name``, or None when unknown."""
-        return self.nodes().get(name)
+from ..serve import decode_partial
+from .client import FleetClient, Membership
 
 
 class PeerFiller:
     """The ``peer_fetch`` callable a cluster node plugs into its
     :class:`~repro.serve.service.GenerationService`.
 
-    On call it rebuilds placement from the *current* membership, walks
-    the key's preference list (owner first, then the ring successors the
-    key most likely lived on before a re-shard), skips itself, and asks
-    up to ``probes`` peers via the wire ``fetch`` op.  Connections are
-    cached per peer and dropped on any error; every failure is a miss.
-    Thread-safe — the scheduler calls it from its worker threads.
+    On call it walks the key's ring owners over the *current* membership
+    (owner first, then the successors the key most likely lived on before
+    a re-shard) through a :class:`~repro.cluster.FleetClient`, skips
+    itself, and sends the wire ``fetch`` op to at most ``probes`` peers.
+    Every failure is a miss.  Thread-safe — the scheduler calls it from
+    its worker threads.
     """
 
     def __init__(self, membership: Membership, self_name: str, *,
                  part: str = "", probes: int = 2, timeout: float = 5.0):
-        self.membership = membership
+        self.fleet = FleetClient(membership, part=part, timeout=timeout)
         self.self_name = self_name
-        self.part = part
         self.probes = probes
-        self.timeout = timeout
-        self._clients: dict[str, ServeClient] = {}
-        self._lock = threading.Lock()
-
-    def _client(self, name: str, address: str) -> ServeClient:
-        with self._lock:
-            client = self._clients.get(name)
-            if client is None:
-                client = ServeClient(address, timeout=self.timeout)
-                self._clients[name] = client
-            return client
-
-    def _drop(self, name: str) -> None:
-        with self._lock:
-            client = self._clients.pop(name, None)
-        if client is not None:
-            client.close()
 
     def close(self) -> None:
         """Close every cached peer connection (idempotent)."""
-        with self._lock:
-            clients, self._clients = dict(self._clients), {}
-        for client in clients.values():
-            client.close()
+        self.fleet.close()
 
     def __call__(self, base_key: str, region_tag: str, digest: str) -> bytes | None:
         """Tier-2 lookup: the owning peer's cached bytes, or None."""
-        nodes = self.membership.nodes()
-        if len(nodes) < 2:
-            return None
-        ring = HashRing(nodes)
-        key = request_key(self.part, region_tag, digest)
+        msg = {"op": "fetch", "base": base_key, "region": region_tag,
+               "digest": digest}
+        peers = [(name, address)
+                 for name, address in self.fleet.owners(self.fleet.key(msg))
+                 if name != self.self_name]
         metrics = current_metrics()
-        for name in ring.owners(key, self.probes + 1):
-            if name == self.self_name:
-                continue
-            address = nodes.get(name)
-            if address is None:
-                continue
+        for name, address in peers[:self.probes]:
             metrics.count("cluster.peer_probes")
             try:
-                data = self._client(name, address).fetch(base_key, region_tag, digest)
-            except Exception:
-                # peer down or protocol failure: drop the connection and
-                # let the next probe (or local generation) take over
-                with contextlib.suppress(Exception):
-                    self._drop(name)
+                reply = self.fleet.call(name, address, msg)
+            except ServiceUnavailableError:
+                # peer down or protocol failure: the connection is dropped;
+                # the next probe (or local generation) takes over
                 metrics.count("cluster.peer_fetch_errors")
                 continue
-            if data is not None:
+            if reply.get("found"):
                 metrics.count("cluster.peer_fetch_hits")
-                return data
+                return decode_partial(reply)
         return None

@@ -14,8 +14,9 @@ regenerating everything.
 
 Keys are plain strings.  The canonical request key is
 :func:`request_key` — ``device | region footprint | content digest`` —
-the same three coordinates the disk cache is addressed by, so the router
-and every worker node compute identical placement without coordination.
+the same three coordinates the disk cache is addressed by, so every
+client (:class:`~repro.cluster.FleetClient`) and every worker node's peer
+fill compute identical placement without coordination.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ helpers::
     jpg serve -p XCV100 --base b.bit --socket /tmp/jpg.sock --cache-dir .jpgcache
     jpg serve -p XCV100 --base b.bit --tcp 0.0.0.0:4100 --cache-dir .jpgcache
     jpg submit --socket /tmp/jpg.sock --xdl m.xdl --ucf m.ucf -o out.bit
-    jpg cluster --spawn 3 -p XCV100 --base b.bit --listen 127.0.0.1:4000
+    jpg submit --socket fleet.json --xdl m.xdl --ucf m.ucf -o out.bit
     jpg loadgen --workload demo -n 1000 --nodes 3 --out replay.json
 
 ``jpg batch`` is the Figure-4 workflow: a JSON manifest lists N module
@@ -22,8 +22,10 @@ versions (xdl/ucf/region each) and the engine generates all their partials
 against one base with shared frame caching, printing a per-module
 timing/size table (see :mod:`repro.batch`).  ``jpg serve`` keeps that
 engine resident (see :mod:`repro.serve`): clients ``jpg submit`` requests
-over a unix socket and repeated requests are answered from the persistent
-on-disk cache.
+over a unix socket or TCP and repeated requests are answered from the
+persistent on-disk cache.  Given a fleet file instead of one node's
+address, ``jpg submit`` routes on the client: each request goes to its
+key's owner on the consistent-hash ring (see :mod:`repro.cluster`).
 
 Exit codes are distinct so scripts can branch without parsing stderr:
 
@@ -90,23 +92,20 @@ def _parse_region(text: str, what: str) -> RegionRect:
 def _resolve_backend(args):
     """Turn the backend flags into a ``BatchJpg``/service backend argument.
 
-    ``--warm-pool`` is shorthand for ``--backend warm``.  ``--pool-size N``
-    pins the pool's worker count, taking precedence over ``JPG_WORKERS``
-    and the CPU-count default (it constructs the backend instance
-    explicitly, so the sizing policy in ``default_workers`` never runs).
+    ``--pool-size N`` pins the pool's worker count, taking precedence
+    over ``JPG_WORKERS`` and the CPU-count default (it constructs the
+    backend instance explicitly, so the sizing policy in
+    ``default_workers`` never runs).
     """
-    backend = args.backend
-    if getattr(args, "warm_pool", False):
-        backend = "warm"
     pool_size = getattr(args, "pool_size", None)
     if pool_size is None:
-        return backend
+        return args.backend
     if pool_size < 1:
         raise UsageError(f"--pool-size must be >= 1, got {pool_size}")
     from ..exec import get_backend
 
     try:
-        return get_backend(backend, pool_size)
+        return get_backend(args.backend, pool_size)
     except ExecError as exc:
         raise UsageError(f"--pool-size: {exc}") from None
 
@@ -553,111 +552,17 @@ def _cmd_serve(args) -> int:
     return EXIT_OK
 
 
-def _cmd_cluster(args) -> int:
-    import asyncio
-    import os
-
-    from ..cluster import LocalFleet, Router
-    from ..serve import parse_address
-
-    nodes: dict[str, str] = {}
-    for spec in args.node or []:
-        name, _, addr = spec.partition("=")
-        if not addr:
-            raise UsageError(f"--node wants NAME=HOST:PORT, got {spec!r}")
-        nodes[name] = addr
-    if args.peers_file:
-        import json
-
-        with open(args.peers_file, encoding="utf-8") as f:
-            nodes.update({str(k): str(v)
-                          for k, v in json.load(f).get("nodes", {}).items()})
-    fleet = None
-    if args.spawn:
-        if not (args.part and args.base):
-            raise UsageError("cluster --spawn needs -p PART and --base FILE")
-        fleet = LocalFleet(args.part, args.base, nodes=args.spawn,
-                           workdir=args.workdir)
-        nodes.update(fleet.start())
-        print(f"jpg cluster: spawned {args.spawn} worker(s): "
-              + ", ".join(f"{n}={a}" for n, a in sorted(fleet.addresses.items())),
-              file=sys.stderr)
-    if not nodes:
-        raise UsageError("cluster needs worker nodes: --node NAME=ADDR, "
-                         "--peers-file FILE, or --spawn N")
-    router = Router(nodes, part=args.part or "",
-                    stop_nodes=args.stop_nodes or fleet is not None)
-
-    async def _front() -> None:
-        if args.socket:
-            print(f"jpg cluster: routing {len(nodes)} node(s) on {args.socket}",
-                  file=sys.stderr)
-            await router.serve_unix(args.socket, handle_signals=True)
-            return
-        host, port = parse_address(args.listen)
-        task = asyncio.ensure_future(
-            router.serve_tcp(host, port, handle_signals=True)
-        )
-        while router.tcp_address is None and not task.done():
-            await asyncio.sleep(0.01)
-        if router.tcp_address is not None:
-            bound = router.tcp_address
-            print(f"jpg cluster: routing {len(nodes)} node(s) on "
-                  f"{bound[0]}:{bound[1]}", file=sys.stderr)
-            if args.port_file:
-                tmp = args.port_file + ".tmp"
-                with open(tmp, "w", encoding="utf-8") as f:
-                    f.write(f"{bound[1]}\n")
-                os.replace(tmp, args.port_file)
-        await task
-
-    try:
-        asyncio.run(_front())
-    finally:
-        if fleet is not None:
-            fleet.stop()
-    print("jpg cluster: stopped", file=sys.stderr)
-    return EXIT_OK
-
-
 def _cmd_loadgen(args) -> int:
-    import json
-
     from ..cluster import loadgen
 
-    if args.target:
-        wl = loadgen.build_workload(args.workload, keys=args.keys, seed=3)
-        sequence = loadgen.zipf_sequence(
-            len(wl.keys), args.requests, skew=args.skew, seed=args.seed
-        )
-        stats = loadgen.replay(args.target, wl.keys, sequence,
-                               target=args.target, concurrency=args.concurrency)
-        report = {
-            "workload": args.workload, "cluster": True, "part": wl.part,
-            "keys": args.keys, "requests": args.requests,
-            "concurrency": args.concurrency, "nodes": 0, "skew": args.skew,
-            "results": [stats.to_entry()],
-            "verify": loadgen.verify_keys(wl, stats),
-        }
-    else:
-        report = loadgen.run_harness(
-            workload=args.workload, keys=args.keys, requests=args.requests,
-            concurrency=args.concurrency, nodes=args.nodes, skew=args.skew,
-            seed=args.seed, single_node=not args.no_single,
-            progress=lambda msg: print(f"jpg loadgen: {msg}", file=sys.stderr),
-        )
-    print(loadgen.report_table(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-        print(f"wrote {args.out}")
-    return EXIT_OK if report["verify"].get("ok") else EXIT_FAILURE
+    return loadgen.main(args.loadgen_args, prog="jpg loadgen")
 
 
 def _cmd_submit(args) -> int:
-    from ..serve import ServeClient, decode_partial
+    from ..cluster import connect
+    from ..serve import decode_partial
 
-    with ServeClient(args.socket, timeout=args.timeout) as client:
+    with connect(args.socket, timeout=args.timeout) as client:
         if args.shutdown:
             client.shutdown()
             print("server drained and shut down")
@@ -665,14 +570,7 @@ def _cmd_submit(args) -> int:
         if args.stats:
             import json
 
-            resp = client.stats()
-            # a single node wraps its stats; a router replies with the
-            # aggregated fleet view at the top level
-            body = resp.get("stats")
-            if body is None:
-                body = {k: v for k, v in resp.items()
-                        if k not in ("id", "op", "ok")}
-            print(json.dumps(body, indent=2, sort_keys=True))
+            print(json.dumps(client.stats()["stats"], indent=2, sort_keys=True))
             return EXIT_OK
         if not args.xdl:
             raise UsageError("submit needs --xdl (or --stats / --shutdown)")
@@ -869,8 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "pool, default), warm (persistent worker-process pool; "
                         "base shared zero-copy, replies through a shared "
                         "output arena)")
-    p.add_argument("--warm-pool", action="store_true",
-                   help="shorthand for --backend warm")
     p.add_argument("--pool-size", type=int, metavar="N",
                    help="worker count for pooled backends (overrides "
                         "JPG_WORKERS and the CPU-count default)")
@@ -1001,8 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "worker-process pool over a shared-memory base, kept "
                         "hot across requests, replies through a shared output "
                         "arena)")
-    p.add_argument("--warm-pool", action="store_true",
-                   help="shorthand for --backend warm")
     p.add_argument("--pool-size", type=int, metavar="N",
                    help="worker count for pooled backends (overrides "
                         "JPG_WORKERS and the CPU-count default)")
@@ -1017,61 +911,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "inside these regions (T001/T002 vs the base)")
     p.set_defaults(fn=_cmd_serve)
 
-    p = sub.add_parser("cluster", help="front a fleet of jpg serve nodes with "
-                                       "a consistent-hash router")
-    p.add_argument("--listen", metavar="HOST:PORT", default="127.0.0.1:0",
-                   help="TCP address clients connect to (default ephemeral "
-                        "on loopback)")
-    p.add_argument("--socket", help="listen on a unix socket instead of TCP")
-    p.add_argument("--port-file", metavar="FILE",
-                   help="write the bound TCP port here once listening "
-                        "(atomic; for scripted bootstrap)")
-    p.add_argument("--node", action="append", metavar="NAME=HOST:PORT",
-                   help="one worker node (repeat per node)")
-    p.add_argument("--peers-file", metavar="FILE",
-                   help="load worker nodes from a fleet membership JSON")
-    p.add_argument("--spawn", type=int, metavar="N",
-                   help="spawn N loopback worker processes (needs -p and "
-                        "--base), wired for peer fill")
-    p.add_argument("-p", "--part", help="device part (required with --spawn; "
-                                        "also shards routing per device)")
-    p.add_argument("--base", help="base design .bit file for spawned workers")
-    p.add_argument("--workdir", help="fleet working directory for --spawn "
-                                     "(port files, fleet file, caches)")
-    p.add_argument("--stop-nodes", action="store_true",
-                   help="a client 'shutdown' also drains and stops every "
-                        "worker node (implied with --spawn)")
-    p.set_defaults(fn=_cmd_cluster)
-
-    p = sub.add_parser("loadgen", help="fleet-scale load harness: zipf-skewed "
-                                       "replay, latency quantiles, per-tier "
-                                       "hit ratios, byte-identity check")
-    p.add_argument("--workload", choices=["demo", "fig4"], default="demo")
-    p.add_argument("--keys", type=int, default=32,
-                   help="distinct request keys (default 32)")
-    p.add_argument("-n", "--requests", type=int, default=1000,
-                   help="requests per pass (default 1000)")
-    p.add_argument("-c", "--concurrency", type=int, default=4,
-                   help="client threads (default 4)")
-    p.add_argument("--nodes", type=int, default=3,
-                   help="fleet size for the cluster target (default 3)")
-    p.add_argument("--skew", type=float, default=1.1,
-                   help="zipf skew exponent (default 1.1)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-single", action="store_true",
-                   help="skip the single-node baseline target")
-    p.add_argument("--target", metavar="ADDR",
-                   help="replay against this running endpoint instead of "
-                        "spawning a fleet (host:port or socket path)")
-    p.add_argument("--out", metavar="FILE",
-                   help="also write the JSON report here")
+    # the harness defines its own options (repro.cluster.loadgen.main);
+    # main() hands it every argument after the subcommand
+    p = sub.add_parser("loadgen", add_help=False,
+                       help="fleet-scale load harness: zipf-skewed replay, "
+                            "latency quantiles, per-tier hit ratios, "
+                            "byte-identity check (jpg loadgen --help)")
     p.set_defaults(fn=_cmd_loadgen)
 
     p = sub.add_parser("submit", help="submit one generation request to a "
                                       "running jpg serve")
     p.add_argument("--socket", required=True,
-                   help="server address: unix socket path or HOST:PORT "
-                        "(a single node or a cluster router)")
+                   help="server address: unix socket path or HOST:PORT of "
+                        "one node, or a fleet file (routed on the client)")
     p.add_argument("--xdl", help="module implementation .xdl")
     p.add_argument("--ucf", help="constraints .ucf (provides the region)")
     p.add_argument("--region", help="explicit region SITE:SITE (overrides UCF)")
@@ -1139,7 +991,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "loadgen":
+        args.loadgen_args = extra
+    elif extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "merge" and not args.overwrite and not args.output:
         parser.error("merge needs -o/--output or --overwrite")
     try:

@@ -53,6 +53,7 @@ import os
 import signal
 import socket
 import sys
+import threading
 
 from ..errors import (
     QueueFullError,
@@ -272,7 +273,7 @@ class JpgServer:
                       wlock: asyncio.Lock) -> None:
         rid = msg.get("id")
         try:
-            request = self._parse_submit(msg)
+            request = GenRequest.from_message(msg)
         except UsageError as exc:
             await self._send(writer, wlock, {
                 "id": rid, "ok": False, "code": "bad-request", "error": str(exc),
@@ -333,25 +334,6 @@ class JpgServer:
                 "data": base64.b64encode(data).decode()}
 
     @staticmethod
-    def _parse_submit(msg: dict) -> GenRequest:
-        xdl = msg.get("xdl")
-        if not isinstance(xdl, str) or not xdl.strip():
-            raise UsageError("submit needs non-empty 'xdl' text")
-        ucf = msg.get("ucf")
-        region = msg.get("region")
-        for field, value in (("ucf", ucf), ("region", region)):
-            if value is not None and not isinstance(value, str):
-                raise UsageError(f"'{field}' must be a string when present")
-        name = msg.get("name") or "module"
-        return GenRequest(
-            name=str(name),
-            xdl=xdl,
-            ucf=ucf,
-            region=region,
-            granularity=str(msg.get("granularity", "column")),
-        )
-
-    @staticmethod
     async def _send(writer: asyncio.StreamWriter, wlock: asyncio.Lock,
                     obj: dict) -> None:
         async with wlock:
@@ -362,7 +344,8 @@ class JpgServer:
 
 class ServeClient:
     """Blocking JSON-lines client over a unix socket or TCP (``jpg
-    submit``, the cluster router, and peer-fill fetches all dial this).
+    submit`` and the cluster's :class:`~repro.cluster.FleetClient`, which
+    peer fill shares across threads, all dial this).
 
     ``address`` is either a unix-socket path, a ``"host:port"`` string,
     or a ``(host, port)`` tuple (see :func:`parse_address`).
@@ -372,8 +355,6 @@ class ServeClient:
         parsed = parse_address(address)
         self.address = (f"{parsed[0]}:{parsed[1]}"
                         if isinstance(parsed, tuple) else parsed)
-        #: Back-compat alias (the pre-TCP attribute name).
-        self.socket_path = self.address
         try:
             if isinstance(parsed, tuple):
                 self._sock = socket.create_connection(parsed, timeout=timeout)
@@ -387,6 +368,7 @@ class ServeClient:
             ) from exc
         self._file = self._sock.makefile("rwb")
         self._next_id = 0
+        self._lock = threading.Lock()
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -406,26 +388,30 @@ class ServeClient:
     # -- requests -------------------------------------------------------------
 
     def request(self, msg: dict) -> dict:
-        """Send one op and return its (id-matched) response."""
-        self._next_id += 1
-        rid = msg.get("id", self._next_id)
-        msg = {**msg, "id": rid}
-        try:
-            self._file.write(_encode(msg))
-            self._file.flush()
-            while True:
-                line = self._file.readline()
-                if not line:
-                    raise ServiceUnavailableError(
-                        f"jpg serve at {self.socket_path} closed the connection"
-                    )
-                resp = json.loads(line)
-                if resp.get("id") == rid:
-                    return resp
-        except (OSError, ValueError) as exc:
-            raise ServiceUnavailableError(
-                f"protocol failure talking to {self.socket_path}: {exc}"
-            ) from exc
+        """Send one op and return its (id-matched) response.
+
+        Serialised per client: threads sharing one connection (peer fill
+        does) take turns, so no reader consumes another's reply."""
+        with self._lock:
+            self._next_id += 1
+            rid = msg.get("id", self._next_id)
+            msg = {**msg, "id": rid}
+            try:
+                self._file.write(_encode(msg))
+                self._file.flush()
+                while True:
+                    line = self._file.readline()
+                    if not line:
+                        raise ServiceUnavailableError(
+                            f"jpg serve at {self.address} closed the connection"
+                        )
+                    resp = json.loads(line)
+                    if resp.get("id") == rid:
+                        return resp
+            except (OSError, ValueError) as exc:
+                raise ServiceUnavailableError(
+                    f"protocol failure talking to {self.address}: {exc}"
+                ) from exc
 
     def ping(self) -> dict:
         """Liveness probe (the ``ping`` op)."""

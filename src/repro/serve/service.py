@@ -57,6 +57,26 @@ class GenRequest:
     region: str | None = None          # UCF range text, e.g. "CLB_R1C3:CLB_R16C12"
     granularity: str = "column"
 
+    @classmethod
+    def from_message(cls, msg: dict) -> "GenRequest":
+        """The request a wire ``submit`` message describes (raises
+        :class:`UsageError` for a message no node would accept)."""
+        xdl = msg.get("xdl")
+        if not isinstance(xdl, str) or not xdl.strip():
+            raise UsageError("submit needs non-empty 'xdl' text")
+        ucf = msg.get("ucf")
+        region = msg.get("region")
+        for field, value in (("ucf", ucf), ("region", region)):
+            if value is not None and not isinstance(value, str):
+                raise UsageError(f"'{field}' must be a string when present")
+        return cls(
+            name=str(msg.get("name") or "module"),
+            xdl=xdl,
+            ucf=ucf,
+            region=region,
+            granularity=str(msg.get("granularity", "column")),
+        )
+
     def digest(self) -> str:
         """Content digest over every request field (the module key)."""
         canonical = json.dumps(
@@ -287,7 +307,7 @@ class GenerationService:
 
         Never generates: peer fill is strictly a cache-to-cache transfer,
         so a fleet-wide cold key costs exactly one generation (on the
-        node the router picked), not a fan-out.  Keys against a different
+        node the client picked), not a fan-out.  Keys against a different
         base configuration are a miss by definition."""
         if self.disk is None or base_key != self.base_key:
             self.metrics.count("serve.fetch_miss")

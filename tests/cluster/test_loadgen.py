@@ -1,9 +1,9 @@
 """Load harness pieces and the loopback-fleet end-to-end runs.
 
 The e2e tests spawn real ``jpg serve`` worker processes (the same code a
-distributed deployment runs) behind an in-process router, replay a
-zipf-skewed stream, and assert the acceptance properties directly: zero
-lost requests (including with a worker SIGKILLed mid-replay), warm-pass
+distributed deployment runs), replay a zipf-skewed stream through their
+fleet file (client-side routing), and assert the acceptance properties
+directly: zero lost requests (including with a worker SIGKILLed mid-replay), warm-pass
 disk hits, and byte identity against direct generation.
 """
 
@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.cluster import LocalFleet, RouterThread, loadgen
+from repro.cluster import LocalFleet, loadgen
 from repro.cluster.loadgen import (
     KeySpec, ReplayStats, Workload, replay, verify_keys, zipf_sequence,
 )
@@ -77,15 +77,14 @@ def demo_workload(demo_project, keys=8):
 
 @pytest.fixture(scope="module")
 def live_fleet(demo_project, tmp_path_factory):
-    """A running 3-node loopback fleet + router over the demo base."""
+    """A running 3-node loopback fleet over the demo base, addressed by
+    its fleet file."""
     tmp = tmp_path_factory.mktemp("fleet")
     base_path = str(tmp / "base.bit")
     demo_project.base_bitfile.save(base_path)
     fleet = LocalFleet("XCV50", base_path, nodes=3, workdir=str(tmp / "work"))
     fleet.start()
-    front = RouterThread(fleet.addresses, part="XCV50", ping_interval=0.2)
-    yield {"fleet": fleet, "front": front, "address": front.address}
-    front.stop()
+    yield {"fleet": fleet, "address": fleet.fleet_file}
     fleet.stop()
 
 
@@ -119,38 +118,33 @@ class TestFleetEndToEnd:
     def test_kill_one_worker_mid_replay_loses_zero_requests(
             self, demo_project, tmp_path):
         """The acceptance chaos case: SIGKILL a worker while the stream is
-        in flight; the router fails its requests over and the client sees
-        every response."""
+        in flight; the clients fail its requests over to the next owner
+        and see every response."""
         base_path = str(tmp_path / "base.bit")
         demo_project.base_bitfile.save(base_path)
         with LocalFleet("XCV50", base_path, nodes=3,
                         workdir=str(tmp_path / "work")) as fleet:
-            front = RouterThread(fleet.addresses, part="XCV50",
-                                 ping_interval=0.1)
-            try:
-                wl = demo_workload(demo_project, keys=6)
-                seq = zipf_sequence(len(wl.keys), 60, skew=1.1, seed=3)
-                # one cheap pass so every node holds its shard's bytes
-                warmup = replay(front.address, wl.keys,
-                                zipf_sequence(len(wl.keys), 12, seed=3),
-                                concurrency=2)
-                assert warmup.errors == 0
-                killed = threading.Event()
+            wl = demo_workload(demo_project, keys=6)
+            seq = zipf_sequence(len(wl.keys), 60, skew=1.1, seed=3)
+            # one cheap pass so every node holds its shard's bytes
+            warmup = replay(fleet.fleet_file, wl.keys,
+                            zipf_sequence(len(wl.keys), 12, seed=3),
+                            concurrency=2)
+            assert warmup.errors == 0
+            killed = threading.Event()
 
-                def chaos(done):
-                    if done >= 20 and not killed.is_set():
-                        killed.set()
-                        fleet.kill("n1")           # SIGKILL, no drain
+            def chaos(done):
+                if done >= 20 and not killed.is_set():
+                    killed.set()
+                    fleet.kill("n1")           # SIGKILL, no drain
 
-                stats = replay(front.address, wl.keys, seq,
-                               concurrency=3, on_progress=chaos)
-                assert killed.is_set()
-                assert stats.requests == 60
-                assert stats.errors == 0, stats.error_samples
-                assert stats.ok == 60
-                assert stats.mismatches == 0       # failover bytes identical
-            finally:
-                front.stop()
+            stats = replay(fleet.fleet_file, wl.keys, seq,
+                           concurrency=3, on_progress=chaos)
+            assert killed.is_set()
+            assert stats.requests == 60
+            assert stats.errors == 0, stats.error_samples
+            assert stats.ok == 60
+            assert stats.mismatches == 0       # failover bytes identical
 
     def test_report_table_renders(self, demo_project, live_fleet):
         wl = demo_workload(demo_project, keys=4)

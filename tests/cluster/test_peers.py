@@ -6,14 +6,18 @@ together so a disk miss on one is served from the other's cache.
 """
 
 import asyncio
+import base64
 import json
 import os
+import socket
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.cluster import Membership, PeerFiller
+from repro.obs import Metrics, use_metrics
 from repro.serve import GenerationService, GenRequest, JpgServer
 
 from ..serve.test_scheduler import FakeService
@@ -59,6 +63,42 @@ class FetchPeer(FakeService):
         if digest == "hit" * 21 + "h":
             return b"peer-bytes"
         return None
+
+
+class ReversingPeer:
+    """A raw peer that answers the fetches pending on its connection in
+    reverse arrival order, once the line goes quiet — as a pipelined
+    server may.  A client thread that took another thread's reply for its
+    own would wait out its timeout."""
+
+    def __init__(self):
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.address = f"127.0.0.1:{self.sock.getsockname()[1]}"
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self):
+        conn, _ = self.sock.accept()
+        conn.settimeout(0.03)
+        data = base64.b64encode(b"peer-bytes").decode()
+        buf, pending = b"", []
+        with conn:
+            while True:
+                try:
+                    chunk = conn.recv(65536)
+                except TimeoutError:
+                    for rid in reversed(pending):
+                        conn.sendall(json.dumps({"id": rid, "ok": True,
+                                                 "found": True,
+                                                 "data": data}).encode() + b"\n")
+                    pending.clear()
+                    continue
+                if not chunk:
+                    return
+                *lines, buf = (buf + chunk).split(b"\n")
+                pending += [json.loads(line)["id"] for line in lines if line.strip()]
+
+    def close(self):
+        self.sock.close()
 
 
 def _start_tcp(service):
@@ -109,6 +149,43 @@ class TestPeerFiller:
             assert filler("base", "t", HIT) is None            # not an error
         finally:
             filler.close()
+
+
+class TestConcurrentPeerFill:
+    def test_threads_sharing_one_peer_connection_all_hit(self):
+        """The scheduler's worker threads share one connection per peer:
+        every concurrent fetch must get its own reply, none a timeout.
+        Two bursts of 8 threads, each released by a barrier."""
+        peer = ReversingPeer()
+        filler = PeerFiller(Membership({"self": "127.0.0.1:1",
+                                        "peer": peer.address}),
+                            "self", probes=1, timeout=2.0)
+        metrics = Metrics()
+        barrier = threading.Barrier(8)
+        results = []
+
+        def fetch():
+            with use_metrics(metrics):
+                barrier.wait()
+                results.append(filler("base", "t", HIT))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(2):
+                workers = [threading.Thread(target=fetch) for _ in range(8)]
+                for w in workers:
+                    w.start()
+                for w in workers:
+                    w.join(timeout=30)
+                assert not any(w.is_alive() for w in workers)
+            assert results == [b"peer-bytes"] * 16
+            assert metrics.counter("cluster.peer_fetch_hits") == 16
+            assert metrics.counter("cluster.peer_fetch_errors") == 0
+        finally:
+            sys.setswitchinterval(switch)
+            filler.close()
+            peer.close()
 
 
 class TestServicePeerFill:

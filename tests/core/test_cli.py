@@ -480,6 +480,36 @@ class TestServeSubmit:
         stats = capsys.readouterr().out
         assert "serve.generated" in stats and "disk" in stats
 
+    def test_submit_through_a_fleet_file(self, server, artifacts, tmp_path,
+                                         capsys):
+        """A regular file as --socket is a fleet file: the client routes
+        the request to its key's owner (here the one node)."""
+        import json
+
+        fleet = tmp_path / "fleet.json"
+        fleet.write_text(json.dumps({"nodes": {"n0": server["sock"]}}))
+        out = str(tmp_path / "fleet.bit")
+        rc = main(["submit", "--socket", str(fleet),
+                   "--xdl", artifacts["xdl"], "--ucf", artifacts["ucf"],
+                   "-o", out])
+        assert rc == 0
+        assert "from generated" in capsys.readouterr().out
+
+        from repro.bitstream.bitfile import BitFile
+
+        direct = str(tmp_path / "direct.bit")
+        assert main(["generate", "-p", "XCV50",
+                     "--base", artifacts["base_bit"],
+                     "--xdl", artifacts["xdl"], "--ucf", artifacts["ucf"],
+                     "-o", direct]) == 0
+        assert BitFile.load(out).config_bytes == BitFile.load(direct).config_bytes
+        capsys.readouterr()
+
+        assert main(["submit", "--socket", str(fleet), "--stats"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["n0"]["counters"]["serve.generated"] == 1
+        assert main(["submit", "--socket", str(fleet), "--shutdown"]) == 0
+
     def test_submit_bad_region_is_usage_error(self, server, artifacts, capsys):
         rc = main(["submit", "--socket", server["sock"],
                    "--xdl", artifacts["xdl"], "--region", "oops"])
@@ -532,6 +562,28 @@ class TestServeSubmitErrors:
         srv.close()
         assert rc == 3
         assert "queue full" in capsys.readouterr().err
+
+    def test_submit_to_an_empty_fleet_is_unavailable(self, tmp_path, capsys):
+        fleet = tmp_path / "fleet.json"
+        fleet.write_text('{"nodes": {}}')
+        xdl = tmp_path / "m.xdl"
+        xdl.write_text("design d XCV50;\n")
+        rc = main(["submit", "--socket", str(fleet), "--xdl", str(xdl)])
+        assert rc == 3
+        assert "no fleet node answered" in capsys.readouterr().err
+
+    def test_loadgen_parses_its_own_options(self, capsys):
+        """jpg loadgen hands every argument to the harness's one parser."""
+        with pytest.raises(SystemExit) as exc:
+            main(["loadgen", "--help"])
+        assert exc.value.code == 0
+        assert "usage: jpg loadgen" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["loadgen", "--bogus"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["info", "XCV50", "--bogus"])
+        assert exc.value.code == 2
 
     def test_serve_needs_a_transport(self, tmp_path, capsys):
         base = tmp_path / "b.bit"
