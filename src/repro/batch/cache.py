@@ -13,8 +13,8 @@ to a different :func:`fingerprint`, so every entry derived from the old
 base simply stops matching (``invalidate()`` also exists for explicit
 eviction).  Entries are computed *single-flight* — concurrent workers
 asking for the same key block on one computation instead of duplicating
-it — which keeps hit/miss accounting deterministic under the batch
-engine's thread pool.
+it — which keeps hit/miss accounting deterministic under the serve
+scheduler's concurrent threads.
 
 Hits and misses are counted both on the cache (:attr:`FrameCache.stats`)
 and on the context's metrics registry (``framecache.hit`` /

@@ -14,19 +14,19 @@ factors both out:
   :class:`~repro.batch.cache.FrameCache`, so K versions of one region
   pay for one clear;
 
-and fans the independent per-module replay/emit pipelines out through a
-pluggable :mod:`execution backend <repro.exec>` — ``serial`` (inline),
-``thread`` (the default: a ``concurrent.futures`` thread pool), or
-``process`` (a process pool over a shared-memory base, the one that
-scales with cores).  Because every module generates against the same
-immutable base state, the emitted partials are **byte-identical** to
-sequential ``make_partial`` calls, whatever the backend or worker count,
-and results come back in manifest order.
+and runs the independent per-module replay/emit pipelines through a
+pluggable :mod:`execution backend <repro.exec>` — ``serial`` (the
+default: inline on the calling thread) or ``warm`` (a persistent pool of
+worker processes over a shared-memory base, the one that can use more
+cores).  Because every module generates against the same immutable base
+state, the emitted partials are **byte-identical** to sequential
+``make_partial`` calls, whatever the backend or worker count, and
+results come back in manifest order.
 
-A :class:`~repro.obs.Metrics` registry is bound inside every worker, so
-one run aggregates stage timings, counters, and cache hit/miss stats
-across the whole pool; :meth:`BatchReport.table` renders the per-module
-summary the ``jpg batch`` CLI prints.
+One :class:`~repro.obs.Metrics` registry aggregates stage timings,
+counters, and cache hit/miss stats across the run (warm-pool workers
+ship snapshots home to it); :meth:`BatchReport.table` renders the
+per-module summary the ``jpg batch`` CLI prints.
 """
 
 from __future__ import annotations
@@ -175,14 +175,15 @@ class BatchJpg:
         cache: FrameCache | None = None,
         metrics: Metrics | None = None,
         max_workers: int | None = None,
-        backend: str | Backend = "thread",
+        backend: str | Backend = "serial",
         full_size: int | None = None,
     ):
         """``backend`` picks the execution strategy (``"serial"`` /
-        ``"thread"`` / ``"warm"`` or a :class:`~repro.exec.Backend`
-        instance).  ``full_size`` (with a :class:`FrameMemory` base) skips
-        both the base re-parse *and* the defensive clone — the zero-copy
-        path pool workers use over a shared, read-only base."""
+        ``"warm"`` or a :class:`~repro.exec.Backend` instance);
+        ``max_workers`` sizes a warm pool when it first binds.
+        ``full_size`` (with a :class:`FrameMemory` base) skips both the
+        base re-parse *and* the defensive clone — the zero-copy path pool
+        workers use over a shared, read-only base."""
         self.part = part
         self.base_design = base_design
         self.cache = cache if cache is not None else FrameCache()
@@ -261,7 +262,7 @@ class BatchJpg:
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, items: list[BatchItem], *, max_workers: int | None = None) -> BatchReport:
+    def run(self, items: list[BatchItem]) -> BatchReport:
         """Generate every item's partial; results come back in input order.
 
         Per-item :class:`~repro.errors.ReproError` failures are recorded on
@@ -270,10 +271,9 @@ class BatchJpg:
         :class:`~repro.errors.ExecError` and aborts the whole run.
         """
         plan = self.plan(items)
-        workers = max_workers or self.max_workers
         start = time.perf_counter()
         with use_metrics(self.metrics):
-            results = self.backend.run(self, items, workers)
+            results = self.backend.run(self, items, self.max_workers)
         seconds = time.perf_counter() - start
         return BatchReport(
             results=results,
@@ -291,8 +291,8 @@ class BatchJpg:
             return self.backend.run_one(self, item)
 
     def close(self) -> None:
-        """Release backend resources (process pools, shared memory).
-        Idempotent; the serial and thread backends hold nothing."""
+        """Release backend resources (the warm pool's workers and shared
+        memory).  Idempotent; the serial backend holds nothing."""
         self.backend.close()
 
     # -- deployment ---------------------------------------------------------

@@ -215,7 +215,7 @@ def _cmd_batch(args) -> int:
         items.append(BatchItem(name, xdl, region=region, ucf=ucf, options=options))
 
     engine = BatchJpg(args.part, base, base_design=base_design,
-                      max_workers=args.jobs, backend=_resolve_backend(args))
+                      backend=_resolve_backend(args))
     plan = engine.plan(items)
     print(
         f"batch: {plan.total} module(s) in {len(plan.groups)} region group(s), "
@@ -760,16 +760,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help='JSON manifest: {"modules": [{"name", "xdl", "ucf", "region"}, ...]} '
                         "(paths relative to the manifest file)")
     p.add_argument("-o", "--output-dir", help="save each partial as NAME.bit here")
-    p.add_argument("-j", "--jobs", type=int,
-                   help="pool workers (default: auto — JPG_WORKERS, then CPU count)")
-    p.add_argument("--backend", choices=BACKEND_NAMES, default="thread",
-                   help="execution backend: serial (inline), thread (GIL-bound "
-                        "pool, default), warm (persistent worker-process pool; "
+    p.add_argument("--backend", choices=BACKEND_NAMES, default="serial",
+                   help="execution backend: serial (inline on one thread; "
+                        "the default), warm (persistent worker-process pool; "
                         "base shared zero-copy, replies through a shared "
                         "output arena)")
     p.add_argument("--pool-size", type=int, metavar="N",
-                   help="worker count for pooled backends (overrides "
-                        "JPG_WORKERS and the CPU-count default)")
+                   help="warm-pool worker count (overrides JPG_WORKERS and "
+                        "the CPU-count default)")
     p.add_argument("--granularity", choices=["column", "frame"], default="column")
     p.add_argument("--no-checks", action="store_true", help="skip region containment checks")
     p.add_argument("--metrics", action="store_true",
@@ -892,14 +890,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int,
                    help="concurrent generations (default: auto — JPG_WORKERS, "
                         "then CPU count)")
-    p.add_argument("--backend", choices=BACKEND_NAMES, default="thread",
-                   help="execution backend for generations (warm = a "
+    p.add_argument("--backend", choices=BACKEND_NAMES, default="serial",
+                   help="execution backend for generations: serial (inline "
+                        "on the --workers threads; the default), warm (a "
                         "worker-process pool over a shared-memory base, kept "
                         "hot across requests, replies through a shared output "
                         "arena)")
     p.add_argument("--pool-size", type=int, metavar="N",
-                   help="worker count for pooled backends (overrides "
-                        "JPG_WORKERS and the CPU-count default)")
+                   help="warm-pool worker count (overrides JPG_WORKERS and "
+                        "the CPU-count default)")
     p.add_argument("--deploy-sim", action="store_true",
                    help="deploy each served partial onto a simulated board")
     p.add_argument("--lint", action="store_true",

@@ -1,13 +1,14 @@
 """Execution backends for batch partial-bitstream generation.
 
-Public surface of the backend subsystem (see :mod:`repro.exec.backend`
-for the strategy classes, :mod:`repro.exec.pool` for the warm worker
-pool and :mod:`repro.exec.shm` for the zero-copy frame transport it
-rides on)::
+Two backends exist: ``serial`` (the default, inline on the caller's
+thread) and ``warm`` (a persistent pool of worker processes).  Public
+surface of the backend subsystem (see :mod:`repro.exec.backend` for the
+strategy classes, :mod:`repro.exec.pool` for the warm worker pool and
+:mod:`repro.exec.shm` for the zero-copy frame transport it rides on)::
 
     from repro.exec import default_workers, get_backend
 
-    engine = BatchJpg("XCV100", base, backend="warm")
+    engine = BatchJpg("XCV100", base, backend="warm", max_workers=2)
     report = engine.run(items)      # byte-identical to backend="serial"
     engine.close()                  # returns the pool + shared memory
 """
@@ -18,11 +19,8 @@ from .backend import (
     MAX_DEFAULT_WORKERS,
     Backend,
     SerialBackend,
-    ThreadBackend,
     default_workers,
     get_backend,
-    in_worker_process,
-    mark_worker_process,
 )
 from .pool import WarmPool, WarmPoolBackend
 from .shm import (
@@ -45,12 +43,9 @@ __all__ = [
     "SerialBackend",
     "SharedFrames",
     "ShmSpec",
-    "ThreadBackend",
     "WarmPool",
     "WarmPoolBackend",
     "attach_frames",
     "default_workers",
     "get_backend",
-    "in_worker_process",
-    "mark_worker_process",
 ]

@@ -1,15 +1,11 @@
 """Execution backends: how a batch of generations actually runs.
 
-The batch engine used to be welded to one strategy (a thread pool).  This
-module factors the strategy out into a small :class:`Backend` interface
-with three implementations:
+A small :class:`Backend` interface with two implementations:
 
 * :class:`SerialBackend` — items run inline on the calling thread.  The
-  reference semantics; every other backend must match its output
-  byte-for-byte.
-* :class:`ThreadBackend` — a per-run ``ThreadPoolExecutor``.  Cheap to
-  start and shares the in-process frame cache directly, but generation is
-  CPU-bound numpy-plus-Python work, so the GIL caps the speedup.
+  default and the reference semantics; the warm pool must match its
+  output byte-for-byte.  Generation is CPU-bound numpy-plus-Python work,
+  so an in-process thread pool only adds GIL contention on top of it.
 * ``"warm"`` — :class:`~repro.exec.pool.WarmPoolBackend`, a persistent
   pool of forked worker processes.  The base frame memory is published
   once via :mod:`repro.exec.shm` and attached zero-copy by every worker;
@@ -25,17 +21,15 @@ raises :class:`~repro.errors.ExecError` and aborts the run — per-item
 generation errors, by contrast, land on the item's result exactly as in
 the serial path, so a batch never silently loses items.
 
-:func:`default_workers` is the one sizing policy everything shares: the
-``JPG_WORKERS`` environment variable wins, a pool worker always answers 1
-(it must never nest its own pool), and otherwise the CPU count decides,
-capped at 8.
+:func:`default_workers` is the one sizing policy the warm pool and the
+serve scheduler share: the ``JPG_WORKERS`` environment variable wins,
+otherwise the CPU count decides, capped at 8.
 """
 
 from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 from ..errors import ExecError
@@ -48,28 +42,11 @@ if TYPE_CHECKING:
 #: scaling well before the core counts of large hosts).
 MAX_DEFAULT_WORKERS = 8
 
-#: Set (via :func:`mark_worker_process`) inside pool worker processes so
-#: nested sizing decisions collapse to 1.
-_IN_WORKER = False
-
-
-def mark_worker_process() -> None:
-    """Record that this process is a pool worker (called by the worker
-    initializer; never unset — workers die with the pool)."""
-    global _IN_WORKER
-    _IN_WORKER = True
-
-
-def in_worker_process() -> bool:
-    """True when running inside a pool worker process."""
-    return _IN_WORKER
-
 
 def default_workers(limit: int | None = None) -> int:
     """How many workers a pool should get, absent an explicit count.
 
-    Priority: the ``JPG_WORKERS`` environment variable, then 1 if this
-    process is itself a pool worker (no nested pools), then the CPU count
+    Priority: the ``JPG_WORKERS`` environment variable, then the CPU count
     capped at :data:`MAX_DEFAULT_WORKERS`.  ``limit`` (e.g. the number of
     items) bounds the answer; the result is always >= 1.
     """
@@ -81,8 +58,6 @@ def default_workers(limit: int | None = None) -> int:
             raise ExecError(f"JPG_WORKERS must be an integer, got {env!r}") from None
         if n < 1:
             raise ExecError(f"JPG_WORKERS must be >= 1, got {n}")
-    elif _IN_WORKER:
-        n = 1
     else:
         n = min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS)
     if limit is not None:
@@ -112,8 +87,8 @@ class Backend(ABC):
         return engine.generate_one(item)
 
     def cache_stats(self, engine: "BatchJpg") -> "CacheStats":
-        """Frame-cache accounting for a finished run.  In-process backends
-        read the engine's cache; the warm pool aggregates what its workers
+        """Frame-cache accounting for a finished run.  The serial backend
+        reads the engine's cache; the warm pool aggregates what its workers
         reported."""
         return engine.cache.stats
 
@@ -137,25 +112,6 @@ class SerialBackend(Backend):
         return [engine.generate_one(item) for item in items]
 
 
-class ThreadBackend(Backend):
-    """A per-run thread pool (the engine's historical behavior)."""
-
-    name = "thread"
-
-    def __init__(self, workers: int | None = None):
-        self.workers = workers
-
-    def run(self, engine, items, workers=None):
-        """Fan items out over a fresh thread pool sized by the usual
-        worker policy; results come back in manifest order."""
-        if not items:
-            return []
-        n = workers or self.workers or default_workers(limit=len(items))
-        engine.metrics.gauge("exec.pool_workers", n)
-        with ThreadPoolExecutor(max_workers=n) as pool:
-            return list(pool.map(engine.generate_one, items))
-
-
 def _warm_backend(workers: int | None = None) -> Backend:
     """Construct a :class:`~repro.exec.pool.WarmPoolBackend` (imported
     lazily: pool.py imports this module, so a top-level import would be
@@ -167,7 +123,6 @@ def _warm_backend(workers: int | None = None) -> Backend:
 
 _BACKENDS = {
     "serial": SerialBackend,
-    "thread": ThreadBackend,
     "warm": _warm_backend,
 }
 
@@ -175,7 +130,7 @@ _BACKENDS = {
 BACKEND_NAMES = tuple(_BACKENDS)
 
 #: The backends that own a pool and take a worker count (``--pool-size``).
-_POOLED = ("thread", "warm")
+_POOLED = ("warm",)
 
 
 def get_backend(backend: str | Backend, workers: int | None = None) -> Backend:

@@ -1,9 +1,9 @@
-"""Zero-copy frame-memory transport for the process backend.
+"""Zero-copy frame-memory transport for the warm worker pool.
 
 The base configuration is by far the largest thing a pool worker needs —
 on an XCV100 it is a few hundred kilobytes of frame words, and pickling
 it into every worker (or worse, into every task) would dominate the cost
-the process backend is supposed to remove.  :class:`SharedFrames` instead
+the warm pool is supposed to remove.  :class:`SharedFrames` instead
 publishes the parent's :class:`~repro.bitstream.frames.FrameMemory` once
 through :mod:`multiprocessing.shared_memory`; workers *attach* to the
 segment and wrap the mapped buffer in a read-only numpy view, so the base

@@ -37,7 +37,6 @@ from typing import TYPE_CHECKING
 from ..batch.cache import ClearedState, FrameCache
 from ..errors import ExecError
 from ..obs import Metrics
-from .backend import mark_worker_process
 from .shm import FrameDelta, ShmSpec, attach_frames
 
 if TYPE_CHECKING:
@@ -82,7 +81,6 @@ def worker_init(
     """One-time worker setup: attach the shared base and build this worker's
     engine.  Runs once per worker process."""
     global _STATE
-    mark_worker_process()
     frames, shm = attach_frames(spec)
     if cache_spec is not None and cache_spec[0] == "disk":
         from ..serve.diskcache import DiskCache, PersistentFrameCache

@@ -277,7 +277,7 @@ class Metrics:
 
         Counters add; timers combine count/total/min/max (mean follows);
         gauges combine extremes, keep the snapshot's last value, and add
-        update counts.  This is how the process backend folds per-worker
+        update counts.  This is how the warm backend folds per-worker
         registries into the parent's, so one report covers a whole pool.
         Events do not travel in snapshots and are not merged.
         """

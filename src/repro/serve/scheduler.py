@@ -48,10 +48,10 @@ class Scheduler:
     when it owns a pool of known size (``backend.planned_workers()`` — so
     a warm pool gets exactly one shepherd thread per pool worker), falling
     back to :func:`repro.exec.default_workers` (``JPG_WORKERS``, then CPU
-    count) — the same policy the batch engine uses.  When the service
-    runs a process or warm backend, these threads only shepherd requests
-    into the worker pool; the event loop itself stays single-threaded
-    either way.
+    count) — the same policy the warm pool uses.  On the serial backend
+    these threads run generations themselves; on a warm backend they only
+    shepherd requests into the worker pool.  The event loop itself stays
+    single-threaded either way.
     """
 
     def __init__(

@@ -154,12 +154,12 @@ class GenerationService:
         retry: RetryPolicy | None = None,
         lint: bool = False,
         sanctioned: list[RegionRect] | None = None,
-        backend: str | Backend = "thread",
+        backend: str | Backend = "serial",
         peer_fetch=None,
     ):
         """``backend`` picks how generations execute (see
-        :mod:`repro.exec`): ``"thread"`` runs them inline on the
-        scheduler's threads, ``"warm"`` fans them out to a persistent
+        :mod:`repro.exec`): ``"serial"`` (the default) runs them inline
+        on the scheduler's threads, ``"warm"`` fans them out to a persistent
         pool of worker processes over a shared-memory base.  ``sanctioned``
         (with ``lint``) arms the gate's tamper rules: served partials
         must stay inside the policy regions and must not edit routing
@@ -372,8 +372,8 @@ class GenerationService:
         self.metrics.count("serve.deploys")
 
     def close(self) -> None:
-        """Release the engine's execution backend (process pool, shared
-        memory).  Idempotent; thread-backed services hold nothing."""
+        """Release the engine's execution backend (the warm pool's workers
+        and shared memory).  Idempotent; a serial service holds nothing."""
         self.engine.close()
 
     def stats(self) -> dict:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.batch import BatchItem, BatchJpg, FrameCache, fingerprint, items_from_project
 from repro.core import Jpg, JpgOptions
+from repro.exec import SerialBackend
 from repro.obs import Metrics
 from repro.ucf import parse_ucf
 from repro.xdl import parse_xdl
@@ -66,9 +67,12 @@ class TestManifest:
 
 
 class TestRun:
+    def test_default_backend_is_serial(self, engine):
+        assert isinstance(engine.backend, SerialBackend)
+
     def test_byte_identical_to_sequential(self, demo_project, engine):
         expected = sequential_partials(demo_project)
-        report = engine.run(items_from_project(demo_project), max_workers=4)
+        report = engine.run(items_from_project(demo_project))
         assert report.ok
         got = report.partials()
         assert set(got) == set(expected)
@@ -79,23 +83,28 @@ class TestRun:
 
     def test_results_in_input_order(self, demo_project, engine):
         items = items_from_project(demo_project)
-        report = engine.run(items, max_workers=4)
+        report = engine.run(items)
         assert [r.item.name for r in report.results] == [i.name for i in items]
 
-    def test_deterministic_across_worker_counts(self, demo_project):
-        def run(workers):
-            e = BatchJpg(demo_project.part, demo_project.base_bitfile,
-                         base_design=demo_project.base_flow.design)
-            return {
-                k: v.data
-                for k, v in e.run(items_from_project(demo_project),
-                                  max_workers=workers).partials().items()
-            }
+    def test_deterministic_across_worker_counts(self, demo_project, engine):
+        """A warm pool of one or two workers emits the serial bytes."""
+        items = items_from_project(demo_project)
 
-        assert run(1) == run(4)
+        def run(e):
+            try:
+                return {k: v.data for k, v in e.run(items).partials().items()}
+            finally:
+                e.close()
+
+        serial = run(engine)
+        for workers in (1, 2):
+            warm = BatchJpg(demo_project.part, demo_project.base_bitfile,
+                            base_design=demo_project.base_flow.design,
+                            backend="warm", max_workers=workers)
+            assert run(warm) == serial, workers
 
     def test_cache_shared_across_items(self, demo_project, engine):
-        report = engine.run(items_from_project(demo_project), max_workers=2)
+        report = engine.run(items_from_project(demo_project))
         assert report.cache_stats.misses == 2
         assert report.cache_stats.hits == 2
         assert report.cache_stats.hit_rate == 0.5
@@ -108,7 +117,7 @@ class TestRun:
         """One bad item reports its error; the rest still generate."""
         items = items_from_project(demo_project)
         bad = BatchItem("bad", demo_project.versions[("r1", "down")].xdl)  # no region
-        report = engine.run([bad] + items, max_workers=3)
+        report = engine.run([bad] + items)
         assert not report.ok
         assert len(report.failures) == 1
         assert report.failures[0].item.name == "bad"
@@ -117,7 +126,7 @@ class TestRun:
         assert "error" in report.table()
 
     def test_metrics_aggregated_across_pool(self, demo_project, engine):
-        report = engine.run(items_from_project(demo_project), max_workers=4)
+        report = engine.run(items_from_project(demo_project))
         m = report.metrics
         assert m.counter("jpg.partials") == 4
         assert m.counter("batch.partials") == 4
@@ -155,13 +164,13 @@ class TestRun:
         engine = BatchJpg(demo_project.part, demo_project.base_bitfile)
         assert engine.metrics.keep_events is False
         items = items_from_project(demo_project)
-        engine.run(items, max_workers=1)  # warm every cache and registry slot
+        engine.run(items)  # warm every cache and registry slot
         tracemalloc.start()
         try:
-            engine.run(items, max_workers=1)
+            engine.run(items)
             before = tracemalloc.get_traced_memory()[0]
             for _ in range(5):
-                engine.run(items, max_workers=1)
+                engine.run(items)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()

@@ -327,7 +327,7 @@ class TestBatch:
             "batch", "-p", "XCV50",
             "--base", manifest["base"],
             "--manifest", manifest["path"],
-            "-o", outdir, "-j", "2", "--metrics",
+            "-o", outdir, "--metrics",
         ])
         assert rc == 0
         text = capsys.readouterr().out
@@ -383,7 +383,7 @@ class TestBatch:
             "--backend", "serial", "--pool-size", "2",
         ])
         assert rc == 2
-        assert "pooled backends: thread, warm" in capsys.readouterr().err
+        assert "pooled backends: warm" in capsys.readouterr().err
 
     def test_batch_manifest_not_json(self, manifest, capsys):
         (manifest["tmp"] / "manifest.json").write_text("{not json")
@@ -604,6 +604,27 @@ class TestServeSubmitErrors:
             main(args)
         assert exc.value.code == 2
         assert "invalid choice: 'process'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["batch", "serve"])
+    def test_backend_thread_is_a_usage_error(self, tmp_path, command, capsys):
+        """The in-process thread pool is gone: serial is the one
+        in-process backend."""
+        args = [command, "-p", "XCV50", "--base", str(tmp_path / "b.bit"),
+                "--backend", "thread"]
+        if command == "batch":
+            args += ["--manifest", str(tmp_path / "m.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+    def test_batch_jobs_is_a_usage_error(self, tmp_path, capsys):
+        """Batch worker counts size a warm pool through --pool-size only."""
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", "-p", "XCV50", "--base", str(tmp_path / "b.bit"),
+                  "--manifest", str(tmp_path / "m.json"), "-j", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -j 2" in capsys.readouterr().err
 
     def test_submit_needs_xdl(self, tmp_path, capsys):
         """--stats/--shutdown aside, a submit without --xdl is usage."""

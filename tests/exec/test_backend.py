@@ -8,7 +8,6 @@ from repro.exec import (
     MAX_DEFAULT_WORKERS,
     Backend,
     SerialBackend,
-    ThreadBackend,
     default_workers,
     get_backend,
 )
@@ -17,10 +16,9 @@ from repro.exec import (
 class TestGetBackend:
     def test_names_resolve(self):
         assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("thread"), ThreadBackend)
 
     def test_instances_pass_through(self):
-        be = ThreadBackend(workers=3)
+        be = SerialBackend()
         assert get_backend(be) is be
 
     def test_unknown_name_raises(self):
@@ -28,17 +26,19 @@ class TestGetBackend:
             get_backend("gpu")
         with pytest.raises(ExecError, match="unknown backend"):
             get_backend("process")
+        # the in-process thread pool is retired; the error lists the survivors
+        with pytest.raises(ExecError, match=r"'thread' \(expected one of serial, warm\)"):
+            get_backend("thread")
 
     def test_names_list_is_complete(self):
-        assert BACKEND_NAMES == ("serial", "thread", "warm")
+        assert BACKEND_NAMES == ("serial", "warm")
         for name in BACKEND_NAMES:
             assert isinstance(get_backend(name), Backend)
             assert get_backend(name).name == name
 
     def test_workers_size_pooled_backends_only(self):
-        assert get_backend("thread", 3).workers == 3
         assert get_backend("warm", 3).planned_workers() == 3
-        with pytest.raises(ExecError, match="no pool to size"):
+        with pytest.raises(ExecError, match=r"no pool to size \(pooled backends: warm\)"):
             get_backend("serial", 3)
 
     def test_warm_resolves_to_pool_backend(self):
@@ -76,15 +76,3 @@ class TestDefaultWorkers:
     def test_limit_never_below_one(self, monkeypatch):
         monkeypatch.delenv("JPG_WORKERS", raising=False)
         assert default_workers(limit=0) == 1
-
-    def test_inside_a_worker_process_answers_one(self, monkeypatch):
-        """A pool worker must never nest its own pool — whatever the CPU
-        count says."""
-        from repro.exec import backend as backend_mod
-
-        monkeypatch.delenv("JPG_WORKERS", raising=False)
-        monkeypatch.setattr(backend_mod, "_IN_WORKER", True)
-        assert default_workers() == 1
-        # ... unless the operator explicitly overrides via the env var
-        monkeypatch.setenv("JPG_WORKERS", "2")
-        assert default_workers() == 2

@@ -134,9 +134,10 @@ class TestBackendConformance:
                                              sequential_partials, backend):
         """Both a first run and a second run on the same engine (pool hot,
         caches seeded) emit the sequential partials."""
-        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
+        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend,
+                          max_workers=2)
         try:
-            reports = [engine.run(_items(demo_project), max_workers=2)
+            reports = [engine.run(_items(demo_project))
                        for _ in ("first", "second")]
         finally:
             engine.close()
@@ -151,7 +152,7 @@ class TestBackendConformance:
                     f"{len(reference)} bytes)"
                 )
         # shared-clear accounting on the first run: every item cleared its
-        # region exactly once (lookups == items).  In-process backends share
+        # region exactly once (lookups == items).  The serial backend keeps
         # one cache, so misses == regions; warm-pool workers each keep their
         # own cache, so misses depend on how the pool distributed the items —
         # bounded by regions below and lookups above, never more.

@@ -7,6 +7,7 @@ and CLI suites; this file covers the service's own contract.
 import pytest
 
 from repro.errors import UsageError
+from repro.exec import SerialBackend
 from repro.serve import GenRequest, GenerationService
 
 pytestmark = pytest.mark.serve
@@ -33,6 +34,11 @@ class TestRequests:
         req = GenRequest(name="x", xdl="text", granularity="nibble")
         with pytest.raises(UsageError):
             req.to_item(check_interface=False)
+
+    def test_default_backend_is_serial(self, service):
+        """Generations run inline on the scheduler's threads unless a
+        warm pool is asked for."""
+        assert isinstance(service.engine.backend, SerialBackend)
 
     def test_partial_key_coordinates(self, service, demo_project):
         req = request_for(demo_project)
