@@ -68,17 +68,3 @@ class TestScaling:
             flow, setup=clear_flow_cache, rounds=2, iterations=1)
         assert result.design.routed()
 
-
-class TestCostEngines:
-    """Scalar vs array flow-core engines on the same base design."""
-
-    @pytest.mark.parametrize("engine", ["scalar", "array"])
-    def test_full_design_flow_by_engine(self, benchmark, plans, engine):
-        base = build_base_netlist("base", plans)
-
-        def full():
-            return run_flow(base, BENCH_PART, seed=5, engine=engine)
-
-        result = benchmark.pedantic(
-            full, setup=clear_flow_cache, rounds=3, iterations=1)
-        assert result.design.routed()

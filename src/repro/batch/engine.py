@@ -40,7 +40,7 @@ from ..bitstream.bitfile import BitFile
 from ..bitstream.frames import FrameMemory
 from ..core.jpg import Jpg, JpgOptions, PartialResult
 from ..errors import ReproError
-from ..exec.backend import Backend, get_backend
+from ..exec.backend import POOLED_BACKENDS, Backend, get_backend
 from ..flow.floorplan import RegionRect
 from ..flow.ncd import NcdDesign
 from ..jbits.api import JBits
@@ -180,7 +180,9 @@ class BatchJpg:
     ):
         """``backend`` picks the execution strategy (``"serial"`` /
         ``"warm"`` or a :class:`~repro.exec.Backend` instance);
-        ``max_workers`` sizes a warm pool when it first binds.
+        ``max_workers`` sizes the pool of a pooled backend named here.  A
+        :class:`~repro.exec.Backend` instance keeps its own size, and
+        ``serial`` accepts and ignores ``max_workers``.
         ``full_size`` (with a :class:`FrameMemory` base) skips both the
         base re-parse *and* the defensive clone — the zero-copy path pool
         workers use over a shared, read-only base."""
@@ -189,8 +191,8 @@ class BatchJpg:
         self.cache = cache if cache is not None else FrameCache()
         # aggregates only: kept events grow by one per stage for the engine's life
         self.metrics = metrics if metrics is not None else Metrics(keep_events=False)
-        self.max_workers = max_workers
-        self.backend = get_backend(backend)
+        pooled = backend in POOLED_BACKENDS   # a Backend instance never is
+        self.backend = get_backend(backend, max_workers if pooled else None)
         if isinstance(base_bitstream, FrameMemory) and full_size is not None:
             from ..devices import get_device
 
@@ -273,7 +275,7 @@ class BatchJpg:
         plan = self.plan(items)
         start = time.perf_counter()
         with use_metrics(self.metrics):
-            results = self.backend.run(self, items, self.max_workers)
+            results = self.backend.run(self, items)
         seconds = time.perf_counter() - start
         return BatchReport(
             results=results,

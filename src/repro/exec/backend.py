@@ -43,12 +43,11 @@ if TYPE_CHECKING:
 MAX_DEFAULT_WORKERS = 8
 
 
-def default_workers(limit: int | None = None) -> int:
+def default_workers() -> int:
     """How many workers a pool should get, absent an explicit count.
 
     Priority: the ``JPG_WORKERS`` environment variable, then the CPU count
-    capped at :data:`MAX_DEFAULT_WORKERS`.  ``limit`` (e.g. the number of
-    items) bounds the answer; the result is always >= 1.
+    capped at :data:`MAX_DEFAULT_WORKERS`; the result is always >= 1.
     """
     env = os.environ.get("JPG_WORKERS")
     if env:
@@ -60,8 +59,6 @@ def default_workers(limit: int | None = None) -> int:
             raise ExecError(f"JPG_WORKERS must be >= 1, got {n}")
     else:
         n = min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS)
-    if limit is not None:
-        n = min(n, max(1, limit))
     return max(1, n)
 
 
@@ -73,13 +70,11 @@ class Backend(ABC):
 
     @abstractmethod
     def run(
-        self,
-        engine: "BatchJpg",
-        items: list["BatchItem"],
-        workers: int | None = None,
+        self, engine: "BatchJpg", items: list["BatchItem"]
     ) -> list["BatchItemResult"]:
         """Generate every item; results in manifest order.  Raises
-        :class:`ExecError` if the backend itself fails."""
+        :class:`ExecError` if the backend itself fails.  A pooled backend
+        runs with the worker count it was constructed with."""
 
     def run_one(self, engine: "BatchJpg", item: "BatchItem") -> "BatchItemResult":
         """Generate a single item (the long-lived-service path).  Default:
@@ -107,7 +102,7 @@ class SerialBackend(Backend):
 
     name = "serial"
 
-    def run(self, engine, items, workers=None):
+    def run(self, engine, items):
         """Generate every item inline on the calling thread, in order."""
         return [engine.generate_one(item) for item in items]
 
@@ -130,7 +125,7 @@ _BACKENDS = {
 BACKEND_NAMES = tuple(_BACKENDS)
 
 #: The backends that own a pool and take a worker count (``--pool-size``).
-_POOLED = ("warm",)
+POOLED_BACKENDS = ("warm",)
 
 
 def get_backend(backend: str | Backend, workers: int | None = None) -> Backend:
@@ -146,9 +141,9 @@ def get_backend(backend: str | Backend, workers: int | None = None) -> Backend:
         )
     if workers is None:
         return factory()
-    if backend not in _POOLED:
+    if backend not in POOLED_BACKENDS:
         raise ExecError(
             f"the {backend!r} backend has no pool to size "
-            f"(pooled backends: {', '.join(_POOLED)})"
+            f"(pooled backends: {', '.join(POOLED_BACKENDS)})"
         )
     return factory(workers)

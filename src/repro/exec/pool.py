@@ -127,7 +127,7 @@ class WarmPool:
         """True once the pool has spawned against an engine's base."""
         return self._engine is not None
 
-    def bind(self, engine: "BatchJpg", workers: int | None = None) -> None:
+    def bind(self, engine: "BatchJpg") -> None:
         """Publish ``engine``'s base, allocate the arena, spawn workers.
 
         Idempotent for the same engine; binding a second engine raises
@@ -149,7 +149,7 @@ class WarmPool:
                 method = ("fork" if "fork" in
                           multiprocessing.get_all_start_methods() else None)
             self._ctx = multiprocessing.get_context(method)
-            n = workers or self.workers or default_workers()
+            n = self.workers or default_workers()
             shared = SharedFrames.publish(engine.base_frames)
             try:
                 arena = OutputArena.create(n, self.slot_bytes)
@@ -353,12 +353,12 @@ class WarmPoolBackend(Backend):
         """Worker count the pool runs with (sizes the scheduler's shepherds)."""
         return self.pool.planned_workers()
 
-    def run(self, engine, items, workers=None):
+    def run(self, engine, items):
         """Shepherd the manifest into the warm pool — one feeder thread
         per worker — and ingest replies in manifest order."""
         if not items:
             return []
-        self.pool.bind(engine, workers)
+        self.pool.bind(engine)
         engine.metrics.count("exec.tasks", len(items))
         n = min(self.pool.planned_workers(), len(items))
         with engine.metrics.stage("exec.pool_map", backend=self.name,
@@ -372,7 +372,7 @@ class WarmPoolBackend(Backend):
 
     def run_one(self, engine, item):
         """Generate a single item on the hot pool (the serving path)."""
-        self.pool.bind(engine, None)
+        self.pool.bind(engine)
         engine.metrics.count("exec.tasks")
         result = self._ingest(engine, self.pool.run_task(item))
         self._gauge(engine)

@@ -83,27 +83,22 @@ def run_flow(
     guide: NcdDesign | None = None,
     seed: int | None = 0,
     effort: float = 1.0,
-    engine: str = "array",
     router_opts: dict | None = None,
 ) -> FlowResult:
     """Run map -> pack -> place -> route -> STA on a copy of ``netlist``.
 
-    ``engine`` selects the placer/router cost engine (``"array"`` or
-    ``"scalar"``); both produce identical results for a given seed.
-
-    A flow whose inputs (netlist, part, constraints, guide, seed, effort,
-    engine and router options) match a recent call is served from the
+    A flow whose inputs (netlist, part, constraints, guide, seed, effort
+    and router options) match a recent call is served from the
     process's flow cache: a fresh copy of that call's design and stats,
     with ``cached`` set and every phase time zero.  ``seed=None`` draws a
     new seed each call, so such calls are never cached.
     """
     opts = dict(router_opts or {})
     opts.setdefault("guide", guide)
-    opts.setdefault("engine", engine)
     metrics = current_metrics()
     key = None
     if seed is not None:
-        key = _flow_key(netlist, part, constraints, guide, seed, effort, engine, opts)
+        key = _flow_key(netlist, part, constraints, guide, seed, effort, opts)
         entry = _flow_cache.get(key)
         if entry is not None:
             metrics.count("flow.cache.hits")
@@ -128,9 +123,7 @@ def run_flow(
 
     t = time.perf_counter()
     with metrics.stage("flow.place"):
-        pl_stats = place(
-            design, constraints, guide=guide, seed=seed, effort=effort, engine=engine
-        )
+        pl_stats = place(design, constraints, guide=guide, seed=seed, effort=effort)
     times["place"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -161,7 +154,6 @@ def _flow_key(
     guide: NcdDesign | None,
     seed: int,
     effort: float,
-    engine: str,
     router_opts: dict,
 ) -> str:
     """sha256 over a canonical encoding of everything the flow reads.
@@ -190,7 +182,7 @@ def _flow_key(
     route_guide = router_opts["guide"]
     opts = {**_ROUTER_DEFAULTS, **router_opts}
     del opts["guide"]
-    h.update(repr((part, cons, sorted(opts.items()), seed, effort, engine,
+    h.update(repr((part, cons, sorted(opts.items()), seed, effort,
                    guide is None, route_guide is None, route_guide is guide)).encode())
     if guide is not None:
         h.update(guide.to_bytes())

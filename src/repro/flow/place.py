@@ -18,36 +18,27 @@ Runtime scales with the number of movable components — this is what the
 PNR experiment measures when it compares module-sized against full-chip
 place-and-route.
 
-Two cost engines implement the inner loop:
+The inner loop is one integer-indexed move loop (:meth:`Placer._moves`).
+A slice site is the integer ``(r*cols + c)*2 + s`` and an IOB site its
+index in ``geometry.iob_sites`` (with precomputed tile rows and columns);
+occupancy maps site codes to component indices, region bounds are plain
+tuples and prohibited tiles an int set, all bound to locals.  Component
+tiles and per-net HPWL costs live in flat lists with a CSR net→terms
+index built once per run, and every move's affected-net working set
+(two-term pairs, ``itemgetter``\\ s over wider nets, numpy gather indices
+and reduceat boundaries for wide unions) is precomputed per component.
+A move therefore costs its draws plus the delta it computes.  Sites turn
+back into tuples and :class:`IobSite` objects once, before the placement
+is committed.
 
-* ``engine="array"`` (the default) runs one integer-indexed move loop
-  (:meth:`Placer._array_moves`).  A slice site is the integer
-  ``(r*cols + c)*2 + s`` and an IOB site its index in
-  ``geometry.iob_sites`` (with precomputed tile rows and columns);
-  occupancy maps site codes to component indices, region bounds are
-  plain tuples and prohibited tiles an int set, all bound to locals.
-  Component tiles and per-net HPWL costs live in flat lists with a CSR
-  net→terms index built once per run, and every move's affected-net
-  working set (two-term pairs, ``itemgetter``\\ s over wider nets, numpy
-  gather indices and reduceat boundaries for wide unions) is precomputed
-  per component.  A move therefore costs its draws plus the delta it
-  computes.  Sites turn back into tuples and :class:`IobSite` objects
-  once, before the placement is committed;
-* ``engine="scalar"`` is the reference implementation (per-net python
-  loops over ``net_terms``, dataclass states and tuple-keyed occupancy),
-  kept as the validation oracle.
-
-Both engines draw from :class:`~repro.utils.RngStream`, which replays
+Draws come from :class:`~repro.utils.RngStream`, which replays
 ``np.random.default_rng(seed)`` bit for bit from raw PCG64 words (numpy's
 32-bit half-word buffering, Lemire bounded integers with numpy's rejection
-threshold, 53-bit doubles) at a fraction of a ``Generator`` call's cost.
-They draw in exactly the same order and compute bit-identical (integer)
-HPWL deltas, so **the same seed produces the same placement on either
-engine, and the same placement the numpy-generator placer produced** —
-the equivalence suite in ``tests/flow/test_vectorized.py`` asserts the
-first site-for-site, and the golden digests in
+threshold, 53-bit doubles) at a fraction of a ``Generator`` call's cost,
+and HPWL deltas are integers, so **the same seed produces the same
+placement the numpy-generator placer produced**.  The golden tables in
 ``tests/flow/test_place_golden.py`` (recorded before the stream and the
-integer loop existed) pin sites, move counts and final cost.
+integer loop existed) pin sites, move counts, initial and final cost.
 """
 
 from __future__ import annotations
@@ -68,9 +59,6 @@ from .floorplan import Constraints, RegionRect, full_device_region
 from .ncd import NcdDesign, SliceComp
 
 SliceSite = tuple[int, int, int]
-
-#: Cost-engine names accepted by :class:`Placer`.
-PLACER_ENGINES = ("array", "scalar")
 
 
 @dataclass
@@ -106,12 +94,7 @@ class Placer:
         guide: NcdDesign | None = None,
         seed: int | None = None,
         effort: float = 1.0,
-        engine: str = "array",
     ):
-        if engine not in PLACER_ENGINES:
-            raise PlacementError(
-                f"unknown placer engine {engine!r} (choose from {PLACER_ENGINES})"
-            )
         self.design = design
         self.device: Device = get_device(design.part)
         self.constraints = constraints or Constraints()
@@ -121,9 +104,7 @@ class Placer:
         self.guide = guide
         self.rng = RngStream(seed)
         self.effort = max(0.1, effort)
-        self.engine = engine
         self.stats = PlacementStats()
-        self._clip_cache: dict[RegionRect, RegionRect] = {}
 
     # -- public ------------------------------------------------------------------
 
@@ -132,11 +113,9 @@ class Placer:
         self._assign_gclks()
         self._build_state()
         self._initial_placement()
-        if self.engine == "array":
-            self._build_arrays()
+        self._build_arrays()
         self._anneal()
-        if self.engine == "array":
-            self._sync_sites()
+        self._sync_sites()
         self._commit()
         self.stats.seconds = time.perf_counter() - t0
         m = current_metrics()
@@ -275,7 +254,7 @@ class Placer:
         state.site = site
         state.fixed = state.fixed or fixed
 
-    # -- array state (engine="array") ---------------------------------------------
+    # -- array state -------------------------------------------------------------------
 
     #: Affected-term count at which a move evaluation switches from the
     #: precomputed-index python path to the numpy reduceat path (numpy's
@@ -293,9 +272,8 @@ class Placer:
           a move into an empty site (swap plans are built and memoized per
           component pair on first use).
 
-        Costs are integer HPWLs, so the array engine's deltas are exactly
-        the scalar engine's.  The move loop's own state is integer-indexed
-        too (see :meth:`_array_moves`):
+        Costs are integer HPWLs, so deltas are exact.  The move loop's own
+        state is integer-indexed too (see :meth:`_moves`):
 
         * ``_site[i]``: slice site ``(r*cols + c)*2 + s``, or the index of
           an IOB site in ``geometry.iob_sites`` (``-1`` for a fixed
@@ -465,28 +443,17 @@ class Placer:
         r, c, _ = state.site
         return r, c
 
-    def _net_cost(self, net_name: str) -> float:
-        rows, cols = [], []
-        for t in self.net_terms[net_name]:
-            r, c = self._tile_of(self.comps[t])
-            rows.append(r)
-            cols.append(c)
-        return (max(rows) - min(rows)) + (max(cols) - min(cols))
-
     def _total_cost(self) -> float:
-        if self.engine == "array":
-            if self._net_costs:
-                self._flush_coords()
-                flat, bounds = self._net_flat, self._net_ptr[:-1]
-                r = self._rows[flat]
-                c = self._cols[flat]
-                costs = (
-                    np.maximum.reduceat(r, bounds) - np.minimum.reduceat(r, bounds)
-                ) + (np.maximum.reduceat(c, bounds) - np.minimum.reduceat(c, bounds))
-                self._net_costs = costs.tolist()
-            return sum(self._net_costs)
-        self.net_cost = {n: self._net_cost(n) for n in self.net_terms}
-        return sum(self.net_cost.values())
+        if self._net_costs:
+            self._flush_coords()
+            flat, bounds = self._net_flat, self._net_ptr[:-1]
+            r = self._rows[flat]
+            c = self._cols[flat]
+            costs = (
+                np.maximum.reduceat(r, bounds) - np.minimum.reduceat(r, bounds)
+            ) + (np.maximum.reduceat(c, bounds) - np.minimum.reduceat(c, bounds))
+            self._net_costs = costs.tolist()
+        return sum(self._net_costs)
 
     # -- annealing ----------------------------------------------------------------------
 
@@ -500,24 +467,15 @@ class Placer:
             self.stats.final_cost = cost
             return
 
-        if self.engine == "array":
-            moves = self._array_moves
-        else:
-            def moves(count: int, temperature: float, dry: bool = False) -> list:
-                out = []
-                for _ in range(count):
-                    d = self._try_move(movable, temperature, dry)
-                    if d is not None:
-                        out.append(d)
-                return out
         # temperature from the spread of a random-move sample
-        deltas = [abs(d) for d in moves(min(50, 10 * len(movable)), math.inf, dry=True)]
+        sample = self._moves(min(50, 10 * len(movable)), math.inf, dry=True)
+        deltas = [abs(d) for d in sample]
         temp = 2.0 * (float(np.std(deltas)) + 1.0) if deltas else 1.0
 
         inner = max(20, int(self.effort * 12 * len(movable)))
         stall = 0
         while stall < 4 and temp > 1e-3:
-            accepted = moves(inner, temp)
+            accepted = self._moves(inner, temp)
             self.stats.moves_attempted += inner
             self.stats.moves_accepted += len(accepted)
             cost += sum(accepted)
@@ -535,77 +493,18 @@ class Placer:
                 temp *= 0.8
         self.stats.final_cost = cost
 
-    def _propose(self, movable: list[_CompState]):
-        """Draw one candidate move: (state, target site, displaced comp).
+    def _moves(self, count: int, temperature: float, dry: bool = False) -> list:
+        """Attempt ``count`` moves; return each accepted delta.
 
-        Both engines call this, so the RNG stream is consumed identically
-        regardless of how the cost delta is evaluated.  Returns None for
-        illegal or no-op proposals (still counted as attempts).
-        """
-        state = movable[int(self.rng.integers(len(movable)))]
-        if state.is_iob:
-            target = self._random_iob_site()
-            other_name = self.iob_occ.get(target)
-        else:
-            target = self._random_slice_site(state)
-            if target is None:
-                return None
-            other_name = self.slice_occ.get(target)
-        if other_name == state.name:
-            return None
-        other = self.comps[other_name] if other_name else None
-        if other is not None:
-            if other.fixed:
-                return None
-            if not other.is_iob:
-                # the displaced comp must be allowed at our current site
-                r, c, _ = state.site
-                if not other.region.contains(r, c):
-                    return None
-        return state, target, other
-
-    def _accept(self, delta, temperature: float) -> bool:
-        """Metropolis criterion; draws from the RNG only for uphill moves."""
-        return delta <= 0 or (
-            temperature > 0
-            and self.rng.random() < math.exp(-delta / temperature)
-        )
-
-    def _try_move(self, movable: list[_CompState], temperature: float, dry: bool = False):
-        """Propose one move (scalar engine); returns the accepted delta or None."""
-        proposal = self._propose(movable)
-        if proposal is None:
-            return None
-        state, target, other = proposal
-
-        affected = set(state.nets) | (set(other.nets) if other else set())
-        before = sum(self.net_cost[n] for n in affected)
-        old_site = state.site
-        self._relocate(state, target, other, old_site)
-        # one evaluation per affected net: the same values decide the move
-        # and, on acceptance, refresh the cost cache
-        after_costs = {n: self._net_cost(n) for n in affected}
-        after = sum(after_costs.values())
-        delta = after - before
-
-        accept = self._accept(delta, temperature)
-        if accept and not dry:
-            self.net_cost.update(after_costs)
-            return delta
-        # revert
-        self._relocate(state, old_site, other, target)
-        return delta if dry and accept else None
-
-    def _array_moves(self, count: int, temperature: float, dry: bool = False) -> list:
-        """Attempt ``count`` moves (array engine); return each accepted delta.
-
-        Move for move this is the scalar engine's ``_propose`` + ``_accept``
-        — the same draws in the same order, the same legality checks, the
-        same Metropolis rule — but over integer site codes and index lists
-        (see :meth:`_build_arrays`), with all state bound to locals.  A move
-        is evaluated on hypothetically-patched coordinate lists; occupancy
-        and sites change only when it is committed.  ``dry`` evaluates
-        without committing (the temperature sample).
+        A move draws a movable component and a target site in its region
+        (a random IOB site for an IOB), is illegal if the target holds a
+        fixed component or one whose region excludes our current tile, and
+        passes the Metropolis rule, which draws only for uphill moves.
+        State is integer site codes and index lists (see
+        :meth:`_build_arrays`), all bound to locals.  A move is evaluated
+        on hypothetically-patched coordinate lists; occupancy and sites
+        change only when it is committed.  ``dry`` evaluates without
+        committing (the temperature sample).
         """
         integers, random, exp = self.rng.integers, self.rng.random, math.exp
         movable = self._movable
@@ -725,37 +624,6 @@ class Placer:
                 accepted.append(delta)
         return accepted
 
-    def _relocate(self, state: _CompState, target, other, other_site) -> None:
-        """Move ``state`` to ``target``, swapping ``other`` (if any) to
-        ``other_site``.  Both occupancy entries are vacated before either is
-        re-claimed so swaps cannot clobber each other."""
-        occ = self.iob_occ if state.is_iob else self.slice_occ
-        del occ[state.site]
-        if other is not None:
-            del occ[other.site]
-        occ[target] = state.name
-        state.site = target
-        if other is not None:
-            occ[other_site] = other.name
-            other.site = other_site
-
-    def _random_slice_site(self, state: _CompState) -> SliceSite | None:
-        region = self._clip_cache.get(state.region)
-        if region is None:
-            region = state.region.clip_to(self.device)
-            self._clip_cache[state.region] = region
-        for _ in range(8):
-            r = int(self.rng.integers(region.rmin, region.rmax + 1))
-            c = int(self.rng.integers(region.cmin, region.cmax + 1))
-            if (r, c) in self.constraints.prohibited:
-                continue
-            return (r, c, int(self.rng.integers(2)))
-        return None
-
-    def _random_iob_site(self) -> IobSite:
-        sites = self.device.geometry.iob_sites
-        return sites[int(self.rng.integers(len(sites)))]
-
     # -- commit ---------------------------------------------------------------------------
 
     def _commit(self) -> None:
@@ -773,9 +641,6 @@ def place(
     guide: NcdDesign | None = None,
     seed: int | None = None,
     effort: float = 1.0,
-    engine: str = "array",
 ) -> PlacementStats:
     """Place ``design`` in place; see :class:`Placer`."""
-    return Placer(
-        design, constraints, guide=guide, seed=seed, effort=effort, engine=engine
-    ).run()
+    return Placer(design, constraints, guide=guide, seed=seed, effort=effort).run()

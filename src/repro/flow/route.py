@@ -20,26 +20,20 @@ wire, built once per device): :meth:`Device.successors` is the generic
 expansion, clipping PIPs at the device edge and fanning long lines out
 along their row or column.
 
-Two congestion engines implement the PathFinder state:
+The PathFinder state is per-node present usage and history in flat numpy
+arrays indexed by node id, with a live python list of each node's full
+cost (``base * (1 + pres_fac*occ) * (1 + history)``) maintained
+incrementally as occupancy changes — A* expansion reads one list element
+per neighbor instead of re-deriving kind/base/occupancy/history per
+visit.  Inside a wire's interior box (:attr:`Device.interior`) a
+successor is ``node + delta`` and its A* bound comes from the entry's
+tile offset, so most expansions touch no device method at all.  The
+overuse sweep and history update at each iteration boundary are single
+vectorized passes.
 
-* ``engine="array"`` (the default) keeps per-node present usage and
-  history in flat numpy arrays indexed by node id, with a live python
-  list of each node's full cost (``base * (1 + pres_fac*occ) *
-  (1 + history)``) maintained incrementally as occupancy changes — A*
-  expansion reads one list element per neighbor instead of re-deriving
-  kind/base/occupancy/history per visit.  Inside a wire's interior box
-  (:attr:`Device.interior`) a successor is ``node + delta`` and its A*
-  bound comes from the entry's tile offset, so most expansions touch no
-  device method at all.  The overuse sweep and history update at each
-  iteration boundary are single vectorized passes;
-* ``engine="scalar"`` is the reference implementation (dict congestion
-  maps, per-visit cost closure, generic expansion everywhere), kept as
-  the validation and benchmark baseline.
-
-Cost arithmetic is ordered identically in both engines, and the RNG is
-only consumed by the per-iteration net ordering shuffle, so **the same
-seed produces the same routing on either engine** — asserted PIP-for-PIP
-by ``tests/flow/test_vectorized.py``.
+The RNG is only consumed by the per-iteration net ordering shuffle, so
+**the same seed produces the same routing** — pinned PIP-for-PIP, with
+the search effort behind it, by ``tests/flow/test_route_golden.py``.
 """
 
 from __future__ import annotations
@@ -62,9 +56,6 @@ from .ncd import NcdDesign, PhysNet, SinkRef
 _HOP_COST = 0.05
 #: Admissible per-tile lower bound for A* (cheapest way to cross a tile).
 _ASTAR_PER_TILE = 0.20
-
-#: Congestion-engine names accepted by :class:`Router`.
-ROUTER_ENGINES = ("array", "scalar")
 
 #: Wire kinds a search may only enter when they are the sink being aimed
 #: for (never route *through* someone's input pin).
@@ -116,7 +107,7 @@ class _NetTask:
     tree_nodes: list[int] = field(default_factory=list)
     node_prev: dict[int, tuple[int, tuple[int, int, int]]] = field(default_factory=dict)
     sink_paths: dict[int, list[int]] = field(default_factory=dict)  # sink idx -> node path
-    tree_arr: np.ndarray | None = None   # array engine: tree_nodes as an index vector
+    tree_arr: np.ndarray | None = None   # tree_nodes as an index vector
 
 
 class Router:
@@ -132,12 +123,7 @@ class Router:
         pres_fac_mult: float = 1.8,
         hist_fac: float = 0.4,
         guide: NcdDesign | None = None,
-        engine: str = "array",
     ):
-        if engine not in ROUTER_ENGINES:
-            raise RoutingError(
-                f"unknown router engine {engine!r} (choose from {ROUTER_ENGINES})"
-            )
         if not design.placed():
             raise RoutingError("design is not fully placed")
         self.design = design
@@ -148,12 +134,8 @@ class Router:
         self.pres_fac_mult = pres_fac_mult
         self.hist_fac = hist_fac
         self.guide = guide
-        self.engine = engine
         self.stats = RoutingStats()
-        self._base_cost = {
-            kind: _HOP_COST + WIRE_DELAY_NS[kind] for kind in WireKind
-        }
-        # per-wire-index base cost (array engine node cost = _base_w[w])
+        # per-wire-index base cost (a free node costs _base_w[w])
         self._base_w = [_HOP_COST + WIRE_DELAY_NS[WIRE_KIND[w]] for w in range(NUM_WIRES)]
         self._locked_nodes: set[int] = set()
 
@@ -320,18 +302,6 @@ class Router:
         node_of = self.device.node_of
         return sorted({node_of(c)[:2] for c in candidates})
 
-    def _sink_heuristic(self, candidates: tuple[int, ...]):
-        """Admissible A* lower bound for one sink's candidate set, as a
-        function of a node (see :func:`_tile_heuristic`)."""
-        node_of = self.device.node_of
-        h_tile = _tile_heuristic(self._sink_tiles(candidates))
-
-        def h(node: int) -> float:
-            r, c, _ = node_of(node)
-            return h_tile(r, c)
-
-        return h
-
     def _unroutable(self, over: list[int]) -> RoutingError:
         self.stats.overused_final = len(over)
         names = ", ".join(self.device.node_str(n) for n in over[:8])
@@ -342,50 +312,7 @@ class Router:
         )
 
     def _pathfinder(self, tasks: list[_NetTask]) -> None:
-        if self.engine == "array":
-            self._pathfinder_array(tasks)
-        else:
-            self._pathfinder_scalar(tasks)
-
-    def _pathfinder_scalar(self, tasks: list[_NetTask]) -> None:
-        present: dict[int, int] = {}
-        history: dict[int, float] = {}
-        pres_fac = self.pres_fac_first
-
-        def node_cost(node: int) -> float:
-            _, _, w = self.device.node_of(node)
-            base = self._base_cost[WIRE_KIND[w]]
-            occ = present.get(node, 0)
-            penalty = 1.0 + pres_fac * occ
-            return base * penalty * (1.0 + history.get(node, 0.0))
-
-        order = list(range(len(tasks)))
-        for iteration in range(1, self.max_iterations + 1):
-            self.stats.iterations = iteration
-            self.rng.shuffle(order)
-            for ti in order:
-                task = tasks[ti]
-                if iteration > 1 and not self._is_congested(task, present):
-                    continue
-                self._rip_up(task, present)
-                self._route_net(task, node_cost, present)
-            over = [n for n, occ in present.items() if occ > 1]
-            if not over:
-                break
-            for n in over:
-                history[n] = history.get(n, 0.0) + self.hist_fac * (present[n] - 1)
-            pres_fac *= self.pres_fac_mult
-
-        over = [n for n, occ in present.items() if occ > 1]
-        self.stats.overused_final = len(over)
-        if over:
-            raise self._unroutable(over)
-        for task in tasks:
-            self._commit(task)
-            self.stats.routed += 1
-
-    def _pathfinder_array(self, tasks: list[_NetTask]) -> None:
-        """PathFinder over flat array congestion state (``engine="array"``).
+        """PathFinder over flat array congestion state.
 
         ``present``/``history`` are dense vectors over the node id space;
         ``cost`` is a python-list mirror of every node's *full* cost,
@@ -393,7 +320,7 @@ class Router:
         all touched nodes when ``pres_fac`` steps at an iteration
         boundary), so the A* inner loop is a single list index per
         neighbor.  The overuse sweep and history bump are one vectorized
-        pass each instead of a walk over the congestion dict.
+        pass each.
         """
         num_nodes = self.device.num_nodes
         present = np.zeros(num_nodes, np.int64)
@@ -412,8 +339,8 @@ class Router:
                     and bool((present[task.tree_arr] > 1).any())
                 ):
                     continue
-                self._rip_up_array(task, cost, present, pres_fac, history)
-                self._route_net_array(task, cost, present, pres_fac, history)
+                self._rip_up(task, cost, present, pres_fac, history)
+                self._route_net(task, cost, present, pres_fac, history)
             over = np.flatnonzero(present > 1)
             if over.size == 0:
                 break
@@ -436,23 +363,7 @@ class Router:
             self._commit(task)
             self.stats.routed += 1
 
-    def _is_congested(self, task: _NetTask, present: dict[int, int]) -> bool:
-        return any(present.get(n, 0) > 1 for n in task.tree_nodes)
-
-    def _rip_up(self, task: _NetTask, present: dict[int, int]) -> None:
-        if task.tree_nodes:
-            self.stats.rip_ups += 1
-        for n in task.tree_nodes:
-            occ = present.get(n, 0) - 1
-            if occ > 0:
-                present[n] = occ
-            else:
-                present.pop(n, None)
-        task.tree_nodes = []
-        task.node_prev = {}
-        task.sink_paths = {}
-
-    def _rip_up_array(
+    def _rip_up(
         self,
         task: _NetTask,
         cost: list[float],
@@ -476,77 +387,7 @@ class Router:
         task.sink_paths = {}
         task.tree_arr = None
 
-    def _route_net(self, task: _NetTask, node_cost, present: dict[int, int]) -> None:
-        dev = self.device
-        tree: list[int] = [task.source]
-        tree_set: set[int] = {task.source}
-        prev: dict[int, tuple[int, tuple[int, int, int]] | None] = {task.source: None}
-
-        used_pins: set[int] = set()
-        for sink_idx, (sink, candidates) in enumerate(task.sinks):
-            cand_set = set(candidates) - used_pins
-            if not cand_set:
-                raise RoutingError(
-                    f"net {task.net.name}: no free pin candidate left for "
-                    f"{sink.ref.comp}.{sink.ref.pin}"
-                )
-            h = self._sink_heuristic(candidates)
-            dist: dict[int, float] = {}
-            came: dict[int, tuple[int, tuple[int, int, int]]] = {}
-            heap: list[tuple[float, float, int]] = []
-            for n in tree:
-                dist[n] = 0.0
-                heapq.heappush(heap, (h(n), 0.0, n))
-            self.stats.searches += 1
-            found = None
-            while heap:
-                f, g, node = heapq.heappop(heap)
-                self.stats.nodes_popped += 1
-                if g > dist.get(node, float("inf")):
-                    continue
-                if node in cand_set:
-                    found = node
-                    break
-                for nxt, pip_ref in dev.successors(node):
-                    if nxt in self._locked_nodes:
-                        continue  # wire owned by a guide-adopted route
-                    kind = WIRE_KIND[dev.node_of(nxt)[2]]
-                    if kind in (WireKind.PIN_IN, WireKind.IO_OUT) and nxt not in cand_set:
-                        continue  # never route *through* someone's input pin
-                    ng = g + node_cost(nxt)
-                    if ng < dist.get(nxt, float("inf")):
-                        dist[nxt] = ng
-                        came[nxt] = (node, pip_ref)
-                        heapq.heappush(heap, (ng + h(nxt), ng, nxt))
-            if found is None:
-                raise RoutingError(
-                    f"net {task.net.name}: no path to sink "
-                    f"{sink.ref.comp}.{sink.ref.pin} "
-                    f"(candidates {[dev.node_str(c) for c in candidates]})"
-                )
-            if sink.ref.pin in ("F", "G"):
-                used_pins.add(found)
-            # walk back, add path to tree
-            path: list[int] = [found]
-            node = found
-            while node not in tree_set:
-                pnode, pip_ref = came[node]
-                prev[node] = (pnode, pip_ref)
-                path.append(pnode)
-                node = pnode
-            path.reverse()
-            for n in path:
-                if n not in tree_set:
-                    tree_set.add(n)
-                    tree.append(n)
-                    present[n] = present.get(n, 0) + 1
-            task.sink_paths[sink_idx] = self._full_path(prev, found)
-        # the source node also occupies its wire
-        present[task.source] = present.get(task.source, 0) + 1
-        task.tree_nodes = tree
-        task.node_prev = {n: p for n, p in prev.items() if p is not None}
-
-    def _route_net_array(
+    def _route_net(
         self,
         task: _NetTask,
         cost: list[float],
@@ -554,11 +395,13 @@ class Router:
         pres_fac: float,
         history: np.ndarray,
     ) -> None:
-        """Array-engine twin of :meth:`_route_net`: same search, but the
-        per-neighbor cost is one ``cost`` list read, and a node inside its
-        wire's interior box expands as ``node + delta`` over the device's
-        successor table with the A* bound taken from the entry's tile
-        offset.  Other nodes go through :meth:`Device.successors`."""
+        """Route one net as a tree: an A* search from the tree so far to
+        each sink in turn, never entering a guide-locked wire or someone
+        else's input pin.  The per-neighbor cost is one ``cost`` list
+        read, and a node inside its wire's interior box expands as
+        ``node + delta`` over the device's successor table with the A*
+        bound taken from the entry's tile offset.  Other nodes go through
+        :meth:`Device.successors`."""
         dev = self.device
         cols = dev.cols
         fanout, interior, successors = dev.fanout, dev.interior, dev.successors
@@ -723,8 +566,6 @@ class Router:
                     )
 
 
-def route(
-    design: NcdDesign, *, seed: int | None = None, engine: str = "array", **kwargs
-) -> RoutingStats:
+def route(design: NcdDesign, *, seed: int | None = None, **kwargs) -> RoutingStats:
     """Route ``design`` in place; see :class:`Router`."""
-    return Router(design, seed=seed, engine=engine, **kwargs).run()
+    return Router(design, seed=seed, **kwargs).run()

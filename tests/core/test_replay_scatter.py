@@ -28,7 +28,6 @@ from repro.core import jpg as jpg_module
 from repro.devices import get_device
 from repro.devices.resources import SLICE
 from repro.errors import BitstreamError, DeviceError, FlowError
-from repro.flow import ROUTER_ENGINES
 from repro.flow.ncd import NcdDesign
 from repro.jbits import JBits
 from repro.netlist.library import expand_init
@@ -171,9 +170,8 @@ def _copy(design: NcdDesign) -> NcdDesign:
 
 
 class TestGenerateFramesMatchesSetters:
-    @pytest.mark.parametrize("engine", ROUTER_ENGINES)
-    def test_xcv50_equivalence_designs(self, engine):
-        for _, design in xcv50_designs(engine):
+    def test_xcv50_designs(self):
+        for _, design, _ in xcv50_designs():
             assert_frames_equal(design)
 
     def test_figure4_versions(self):

@@ -54,10 +54,6 @@ class TestDefaultWorkers:
         monkeypatch.setenv("JPG_WORKERS", "5")
         assert default_workers() == 5
 
-    def test_env_var_bounded_by_limit(self, monkeypatch):
-        monkeypatch.setenv("JPG_WORKERS", "5")
-        assert default_workers(limit=2) == 2
-
     def test_env_var_must_be_an_integer(self, monkeypatch):
         monkeypatch.setenv("JPG_WORKERS", "many")
         with pytest.raises(ExecError, match="integer"):
@@ -72,7 +68,3 @@ class TestDefaultWorkers:
         monkeypatch.delenv("JPG_WORKERS", raising=False)
         n = default_workers()
         assert 1 <= n <= MAX_DEFAULT_WORKERS
-
-    def test_limit_never_below_one(self, monkeypatch):
-        monkeypatch.delenv("JPG_WORKERS", raising=False)
-        assert default_workers(limit=0) == 1

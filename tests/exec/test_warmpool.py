@@ -278,6 +278,39 @@ class TestBackendIntegration:
 
         assert SerialBackend().planned_workers() is None
 
+    def test_max_workers_sizes_a_named_pool_before_it_binds(
+            self, demo_project, monkeypatch):
+        """``BatchJpg(backend="warm", max_workers=N)`` plans N workers from
+        the start, so what the serve scheduler reads before the first run
+        is the size the pool binds with."""
+        monkeypatch.setenv("JPG_WORKERS", "3")
+        engine = BatchJpg("XCV50", demo_project.base_bitfile,
+                          backend="warm", max_workers=1)
+        try:
+            assert engine.backend.planned_workers() == 1
+            assert engine.run(items_from_project(demo_project)[:2]).ok
+            assert engine.backend.planned_workers() == 1
+            gauges = engine.metrics.snapshot()["gauges"]
+            assert gauges["exec.pool.workers_alive"]["last"] == 1
+        finally:
+            engine.close()
+
+    def test_max_workers_leaves_instances_and_serial_alone(self, demo_project):
+        """A Backend instance keeps its own size, through its runs too;
+        ``serial`` accepts and ignores ``max_workers``."""
+        backend = WarmPoolBackend(workers=2)
+        engine = BatchJpg("XCV50", demo_project.base_bitfile,
+                          backend=backend, max_workers=1)
+        try:
+            assert engine.run(items_from_project(demo_project)[:2]).ok
+            assert engine.backend.planned_workers() == 2
+            gauges = engine.metrics.snapshot()["gauges"]
+            assert gauges["exec.pool.workers_alive"]["last"] == 2
+        finally:
+            engine.close()
+        serial = BatchJpg("XCV50", demo_project.base_bitfile, max_workers=1)
+        assert serial.backend.planned_workers() is None
+
     def test_pool_metrics_reported_as_deltas(self, demo_project, warm_engine):
         """exec.pool.* counters report per-run deltas, not running totals."""
         engine, pool = warm_engine

@@ -12,7 +12,6 @@ import threading
 import pytest
 
 from repro.flow import (
-    ROUTER_ENGINES,
     AreaGroup,
     Constraints,
     NcdDesign,
@@ -58,10 +57,9 @@ def stats_of(result):
 
 
 class TestHitsAreFreshRuns:
-    @pytest.mark.parametrize("engine", ROUTER_ENGINES)
     @pytest.mark.parametrize("guided", [False, True], ids=["unguided", "guided"])
-    def test_hit_bytes_equal_the_miss_and_an_uncached_run(self, guide, guided, engine):
-        args = flow_args(guide if guided else None, engine=engine)
+    def test_hit_bytes_equal_the_miss_and_an_uncached_run(self, guide, guided):
+        args = flow_args(guide if guided else None)
         miss = run(args)
         hit = run(args)
         clear_flow_cache()
@@ -124,7 +122,6 @@ FLIPS = {
     "guide_pip": _flip_guide_pip,
     "seed": lambda a: a.update(seed=2),
     "effort": lambda a: a.update(effort=0.5),
-    "engine": lambda a: a.update(engine="scalar"),
     "router_option": lambda a: a.update(router_opts={"hist_fac": 0.5}),
     "router_guide": lambda a: a.update(router_opts={"guide": None}),
 }
@@ -146,7 +143,7 @@ class TestKey:
 
     def test_router_options_spelling_out_defaults_hit(self):
         run(flow_args())
-        assert run(flow_args(router_opts={"max_iterations": 30, "engine": "array"})).cached
+        assert run(flow_args(router_opts={"max_iterations": 30})).cached
 
     def test_unseeded_flows_are_never_stored(self):
         nl = build_comb_netlist()

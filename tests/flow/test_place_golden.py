@@ -6,8 +6,10 @@ HPWL cost.  Together they pin the annealer's whole trajectory, not only
 where it ended, so any change to the RNG stream, the move loop or the
 acceptance rule shows here.
 
-* The XCV50 designs are the ones the engine-equivalence suite
-  (``test_vectorized.py``) places; each is checked on both engines.
+* The XCV50 designs are counters of width 4 and 8 at four seeds, one
+  region-constrained counter and a width-6 flow with its guided re-run.
+  ``GOLDEN_XCV50_INITIAL_COST`` also pins each one's initial (random)
+  placement cost.
 * The slow sweep covers all 36 XCV100 full-chip Figure-4 combinations
   at seeds 0, 3 and 11, and every guided Figure-4 module version at
   seeds 0 and 5 (each against a base placed at the same seed).  Each
@@ -27,7 +29,7 @@ from repro.baselines.fullflow import build_combination_netlist, enumerate_combin
 from repro.flow import run_flow
 from repro.flow.floorplan import AreaGroup, Constraints, RegionRect
 from repro.flow.pack import pack
-from repro.flow.place import PLACER_ENGINES, place
+from repro.flow.place import place
 from repro.flow.techmap import techmap
 from repro.workloads import (
     build_base_netlist,
@@ -50,6 +52,22 @@ GOLDEN_XCV50 = {
     "counter8/region/seed3": "6c0b9910ec47a705bb556285962e53f59c19ae54101fbbcfe93266d1b82f435b",
     "flow6/seed2": "368b875b3998f8052dba3ab717b3610d520379585bc21f5c2666afb9f626d162",
     "flow6/guided/seed2": "af7e30bd2240a6eec851a3632ead76f090b26a40280885f94c2ccb68a411fdf5",
+}
+
+#: HPWL cost of each XCV50 design's initial (random) placement, before the
+#: first move: pins the draws that seed the ``GOLDEN_XCV50`` runs.
+GOLDEN_XCV50_INITIAL_COST = {
+    "counter4/seed1": 90,
+    "counter4/seed7": 130,
+    "counter4/seed9": 114,
+    "counter4/seed42": 72,
+    "counter8/seed1": 259,
+    "counter8/seed7": 249,
+    "counter8/seed9": 210,
+    "counter8/seed42": 244,
+    "counter8/region/seed3": 205,
+    "flow6/seed2": 173,
+    "flow6/guided/seed2": 14,
 }
 
 GOLDEN_XCV100 = {
@@ -204,22 +222,29 @@ def _packed(width):
     return pack(nl, "XCV50")[0]
 
 
-def xcv50_digests(engine):
-    """Yield (label, digest) for the XCV50 designs on ``engine``."""
+def xcv50_placements():
+    """Yield (label, placed design, placement stats) for the XCV50
+    designs."""
     for width in (4, 8):
         for seed in (1, 7, 9, 42):
             design = _packed(width)
-            stats = place(design, seed=seed, engine=engine)
-            yield f"counter{width}/seed{seed}", placement_digest(design, stats)
+            stats = place(design, seed=seed)
+            yield f"counter{width}/seed{seed}", design, stats
     cons = Constraints(groups=[AreaGroup("AG", ["u1/*"], RegionRect(0, 2, 15, 7))])
     design = _packed(8)
-    stats = place(design, cons, seed=3, engine=engine)
-    yield "counter8/region/seed3", placement_digest(design, stats)
+    stats = place(design, cons, seed=3)
+    yield "counter8/region/seed3", design, stats
     nl, _ = build_counter_netlist(6)
-    base = run_flow(nl, "XCV50", seed=2, engine=engine)
-    yield "flow6/seed2", placement_digest(base.design, base.place_stats)
-    guided = run_flow(nl, "XCV50", guide=base.design, seed=2, engine=engine)
-    yield "flow6/guided/seed2", placement_digest(guided.design, guided.place_stats)
+    base = run_flow(nl, "XCV50", seed=2)
+    yield "flow6/seed2", base.design, base.place_stats
+    guided = run_flow(nl, "XCV50", guide=base.design, seed=2)
+    yield "flow6/guided/seed2", guided.design, guided.place_stats
+
+
+def xcv50_digests():
+    """Yield (label, digest) for the XCV50 designs."""
+    for label, design, stats in xcv50_placements():
+        yield label, placement_digest(design, stats)
 
 
 def xcv100_digests(flow=run_flow):
@@ -249,9 +274,13 @@ def xcv100_digests(flow=run_flow):
                        placement_digest(result.design, result.place_stats))
 
 
-@pytest.mark.parametrize("engine", PLACER_ENGINES)
-def test_xcv50_placements_match_golden(engine):
-    assert dict(xcv50_digests(engine)) == GOLDEN_XCV50
+def test_xcv50_placements_match_golden():
+    assert dict(xcv50_digests()) == GOLDEN_XCV50
+
+
+def test_xcv50_initial_costs_match_golden():
+    got = {label: st.initial_cost for label, _, st in xcv50_placements()}
+    assert got == GOLDEN_XCV50_INITIAL_COST
 
 
 @pytest.mark.slow
@@ -272,9 +301,13 @@ def test_xcv100_sweep_matches_golden():
 
 
 if __name__ == "__main__":  # print the tables to paste above
-    for title, rows in (("GOLDEN_XCV50", xcv50_digests("array")),
+    for title, rows in (("GOLDEN_XCV50", xcv50_digests()),
                         ("GOLDEN_XCV100", xcv100_digests())):
         print(f"{title} = {{")
         for label, digest in rows:
             print(f'    "{label}": "{digest}",')
         print("}\n")
+    print("GOLDEN_XCV50_INITIAL_COST = {")
+    for label, _, stats in xcv50_placements():
+        print(f'    "{label}": {stats.initial_cost!r},')
+    print("}")

@@ -6,17 +6,19 @@ every net's sorted PIPs, and every sink's physical pin and delay.
 * ``GOLDEN`` — the XCV100 Figure-4 base (seed 0), its 10 guided module
   versions, and three full-chip combinations at seeds 0, 1 and 2: the
   same builds the fig4-e2e and fullchip-flow benchmark workloads run.
-* ``GOLDEN_XCV50`` — the XCV50 designs the engine-equivalence suite
-  (``test_vectorized.py``) routes, checked on both engines.
+* ``GOLDEN_XCV50`` — width-8 counters at three seeds and a width-6 flow
+  with its guided re-run, on XCV50.  ``GOLDEN_XCV50_STATS`` also pins
+  each run's search effort (PathFinder iterations, rip-ups, A* searches
+  and nodes popped).
 * ``GOLDEN_FLOW_CASES`` — :func:`repro.workloads.flow_cases` (the
-  Figure-4 XCV100 base and the XCV1000 scale base) at seed 5 on both
-  engines; slow-marked.
+  Figure-4 XCV100 base and the XCV1000 scale base) at seed 5;
+  slow-marked.
 
 The slow tests also rebuild ``GOLDEN`` and ``GOLDEN_FLOW_CASES`` a second
 time, served from the flow cache, and hold that pass to the same digests.
 
 A change to the placer, the router or the device graph that alters any
-of them fails here, whichever engine it touches.  Print the tables with
+of them fails here.  Print the tables with
 ``PYTHONPATH=src python -m tests.flow.test_route_golden`` — but paste
 them in only when a routing change is intended.
 """
@@ -26,7 +28,7 @@ import hashlib
 import pytest
 
 from repro.baselines.fullflow import build_combination_netlist, enumerate_combinations
-from repro.flow import ROUTER_ENGINES, run_flow
+from repro.flow import run_flow
 from repro.flow.pack import pack
 from repro.flow.place import place
 from repro.flow.route import route
@@ -66,6 +68,16 @@ GOLDEN_XCV50 = {
     "counter8/seed42": "515a03d94cace80bc269a12bce66adbad4b5ae616ae84243f7e9199ba2b06520",
     "flow6/seed2": "38776ee34d8b75cbb7ff5fbc88aeeeea55d980f4987af434820870575f321835",
     "flow6/guided/seed2": "38776ee34d8b75cbb7ff5fbc88aeeeea55d980f4987af434820870575f321835",
+}
+
+#: ``(iterations, rip_ups, searches, nodes_popped)`` of each XCV50 routing
+#: run: the search effort behind the ``GOLDEN_XCV50`` digests.
+GOLDEN_XCV50_STATS = {
+    "counter8/seed1": (3, 8, 56, 5802),
+    "counter8/seed4": (3, 5, 49, 6848),
+    "counter8/seed42": (4, 12, 66, 5799),
+    "flow6/seed2": (2, 5, 37, 3443),
+    "flow6/guided/seed2": (0, 0, 0, 0),
 }
 
 #: Seed of the flow-case fixture.
@@ -117,27 +129,31 @@ def golden_designs(flow=run_flow):
         yield f"full/{label}/seed{seed}", result.design
 
 
-def xcv50_designs(engine):
-    """Yield (label, routed design) for the XCV50 designs on ``engine``."""
+def xcv50_designs():
+    """Yield (label, routed design, routing stats) for the XCV50 designs."""
     for seed in (1, 4, 42):
         nl, _ = build_counter_netlist(8)
         techmap(nl)
         design = pack(nl, "XCV50")[0]
-        place(design, seed=seed, engine=engine)
-        route(design, seed=seed, engine=engine)
-        yield f"counter8/seed{seed}", design
+        place(design, seed=seed)
+        stats = route(design, seed=seed)
+        yield f"counter8/seed{seed}", design, stats
     nl, _ = build_counter_netlist(6)
-    base = run_flow(nl, "XCV50", seed=2, engine=engine)
-    yield "flow6/seed2", base.design
-    guided = run_flow(nl, "XCV50", guide=base.design, seed=2, engine=engine)
-    yield "flow6/guided/seed2", guided.design
+    base = run_flow(nl, "XCV50", seed=2)
+    yield "flow6/seed2", base.design, base.route_stats
+    guided = run_flow(nl, "XCV50", guide=base.design, seed=2)
+    yield "flow6/guided/seed2", guided.design, guided.route_stats
 
 
-def flow_case_designs(engine, flow=run_flow):
+def search_stats(stats) -> tuple[int, int, int, int]:
+    """The PathFinder effort a routing run reports."""
+    return stats.iterations, stats.rip_ups, stats.searches, stats.nodes_popped
+
+
+def flow_case_designs(flow=run_flow):
     """Yield (label, routed design) for every ``flow_cases()`` design."""
     for label, part, netlist, constraints in flow_cases():
-        result = flow(netlist, part, constraints, seed=FLOW_CASE_SEED,
-                      engine=engine)
+        result = flow(netlist, part, constraints, seed=FLOW_CASE_SEED)
         yield f"{label}/seed{FLOW_CASE_SEED}", result.design
 
 
@@ -156,10 +172,14 @@ def test_routing_matches_golden(digests, label):
     assert digests[label] == GOLDEN[label]
 
 
-@pytest.mark.parametrize("engine", ROUTER_ENGINES)
-def test_xcv50_routing_matches_golden(engine):
-    got = {label: design_digest(d) for label, d in xcv50_designs(engine)}
+def test_xcv50_routing_matches_golden():
+    got = {label: design_digest(d) for label, d, _ in xcv50_designs()}
     assert got == GOLDEN_XCV50
+
+
+def test_xcv50_routing_stats_match_golden():
+    got = {label: search_stats(st) for label, _, st in xcv50_designs()}
+    assert got == GOLDEN_XCV50_STATS
 
 
 def _served_from_cache(*args, **kwargs):
@@ -177,20 +197,23 @@ def test_cached_pass_matches_golden():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine", ROUTER_ENGINES)
-def test_flow_cases_match_golden(engine):
-    got = {label: design_digest(d) for label, d in flow_case_designs(engine)}
+def test_flow_cases_match_golden():
+    got = {label: design_digest(d) for label, d in flow_case_designs()}
     assert got == GOLDEN_FLOW_CASES
     cached = {label: design_digest(d)
-              for label, d in flow_case_designs(engine, _served_from_cache)}
+              for label, d in flow_case_designs(_served_from_cache)}
     assert cached == GOLDEN_FLOW_CASES
 
 
 if __name__ == "__main__":  # print the tables to paste above
     for title, rows in (("GOLDEN", golden_designs()),
-                        ("GOLDEN_XCV50", xcv50_designs("array")),
-                        ("GOLDEN_FLOW_CASES", flow_case_designs("array"))):
+                        ("GOLDEN_XCV50", ((l, d) for l, d, _ in xcv50_designs())),
+                        ("GOLDEN_FLOW_CASES", flow_case_designs())):
         print(f"{title} = {{")
         for label, design in rows:
             print(f'    "{label}": "{design_digest(design)}",')
         print("}\n")
+    print("GOLDEN_XCV50_STATS = {")
+    for label, _, stats in xcv50_designs():
+        print(f'    "{label}": {search_stats(stats)},')
+    print("}")

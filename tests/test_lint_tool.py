@@ -1,5 +1,6 @@
-"""The repo linter's magic frame-count rule, unit-tested as a pure
-function, plus the end-to-end gate: the tree itself must be clean."""
+"""The repo linter's magic frame-count and dead-private-helper rules,
+unit-tested as pure functions, plus the end-to-end gate: the tree itself
+must be clean."""
 
 from __future__ import annotations
 
@@ -54,6 +55,39 @@ class TestFrameCountRule:
     def test_nested_expressions_are_caught(self):
         out = findings("def f(x):\n    return [x] * (48 + 1)\n")
         assert len(out) == 1
+
+
+def dead(**sources: str) -> list[str]:
+    """Dead-helper findings over modules given as ``name=source``."""
+    return repo_lint.check_dead_private(
+        {f"src/repro/{name}.py": ast.parse(src) for name, src in sources.items()}
+    )
+
+
+class TestDeadPrivateRule:
+    def test_unnamed_helper_is_flagged(self):
+        out = dead(route="def _stale_helper(c):\n    return c\n")
+        assert len(out) == 1
+        assert "src/repro/route.py:1:" in out[0] and "_stale_helper" in out[0]
+
+    def test_methods_and_classes_are_covered(self):
+        src = ("class _State:\n    pass\n"
+               "class Router:\n    def _rip_up(self):\n        pass\n")
+        out = dead(route=src)
+        assert len(out) == 2
+        assert ":1: " in out[0] and "_State" in out[0]
+        assert ":4: " in out[1] and "_rip_up" in out[1]
+
+    def test_any_kind_of_reference_keeps_it(self):
+        assert dead(a="def _f():\n    pass\nx = _f\n") == []
+        assert dead(a="class C:\n    def _m(self):\n        pass\n",
+                    b="def g(c):\n    return c._m()\n") == []
+        assert dead(a="def _h():\n    pass\n",
+                    b="from .a import _h\n") == []
+
+    def test_public_and_dunder_names_are_exempt(self):
+        assert dead(a="def f():\n    pass\n"
+                      "class C:\n    def __init__(self):\n        pass\n") == []
 
 
 def test_repo_lint_passes():

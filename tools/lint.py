@@ -15,7 +15,9 @@ Runs, in order:
    frame-count literals** (48/54/27/64/52) in ``src/`` — those numbers
    are device geometry and must come from ``repro.devices.spec``
    (suppress a deliberate non-geometry use with a ``not-a-frame-count``
-   line comment).
+   line comment); and a **dead private helper** rule flagging a
+   ``_``-prefixed function, method or class in ``src/`` that no code in
+   ``src/`` names (a helper kept alive only by tests is dead code).
 
 Run from the repository root::
 
@@ -158,6 +160,50 @@ def check_frame_count_literals(tree: ast.Module, lines: list[str],
     return problems
 
 
+def check_dead_private(trees: dict[str, ast.Module]) -> list[str]:
+    """Flag ``_``-prefixed functions, methods and classes nothing names.
+
+    ``trees`` maps repo-relative paths to parsed modules (``src/`` in the
+    real sweep).  A definition is used when any tree names it: as a
+    ``Name``, as the attribute of an ``Attribute``, or in a ``from ...
+    import``.  Dunder names are exempt (the interpreter calls them).
+    Pure function over parsed trees so the rule is unit-testable.
+    """
+    defined: list[tuple[str, int, str]] = []
+    used: set[str] = set()
+    for rel, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((rel, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return [
+        f"{rel}:{lineno}: dead private helper {name}: nothing in src/ names it"
+        for rel, lineno, name in defined
+        if name not in used
+    ]
+
+
+def _src_trees() -> dict[str, ast.Module]:
+    """Every parseable module under ``src/``, keyed by relative path."""
+    trees = {}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        if "__pycache__" in path.parts:
+            continue
+        try:
+            trees[str(path.relative_to(REPO_ROOT))] = ast.parse(
+                path.read_text(encoding="utf-8"))
+        except SyntaxError:
+            continue                      # check_file reports it
+    return trees
+
+
 def check_file(path: Path) -> list[str]:
     """Fallback findings for one source file."""
     problems: list[str] = []
@@ -210,6 +256,7 @@ def run_fallback() -> list[str]:
             if "__pycache__" in path.parts:
                 continue
             problems.extend(check_file(path))
+    problems.extend(check_dead_private(_src_trees()))
     return problems
 
 
