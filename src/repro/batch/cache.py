@@ -6,7 +6,9 @@ clear dominates the per-module cost.  Yet the cleared state depends only
 on (base configuration content, region footprint): every variant of one
 region's module starts from the *same* cleared frames.  This cache keys
 that state by a digest of the base frame memory plus the region rectangle,
-so N versions of one region pay for one clear.
+so N versions of one region pay for one clear.  An entry is the
+:class:`~repro.bitstream.frames.FrameDelta` of the clear — the frames it
+changed and their cleared words — not a copy of the whole device.
 
 Content keying doubles as invalidation: a changed base bitstream hashes
 to a different :func:`fingerprint`, so every entry derived from the old
@@ -30,13 +32,15 @@ from collections.abc import Callable
 from contextlib import AbstractContextManager
 from dataclasses import dataclass
 
-from ..bitstream.frames import FrameMemory
+import numpy as np
+
+from ..bitstream.frames import FrameDelta, FrameMemory
 from ..flow.floorplan import RegionRect
 from ..obs import current_metrics
 
-#: A cached cleared-region state: the frame memory after zeroing the
-#: region's tiles on the base, plus the frame indices the clear dirtied.
-ClearedState = tuple[FrameMemory, frozenset[int]]
+#: A cached cleared-region state: the frames zeroing the region's tiles
+#: changed on the base, with their words after the clear.
+ClearedState = FrameDelta
 
 
 def fingerprint(frames: FrameMemory) -> str:
@@ -47,7 +51,8 @@ def fingerprint(frames: FrameMemory) -> str:
     invalidates cache entries derived from it.
     """
     h = hashlib.sha256(frames.device.name.encode())
-    h.update(frames.data.tobytes())
+    # through the buffer protocol: no transient copy of the whole device
+    h.update(np.ascontiguousarray(frames.data))
     return h.hexdigest()
 
 
@@ -137,8 +142,9 @@ class FrameCache:
 
         On miss, ``factory`` runs (once, even under concurrency) and its
         result is stored; on hit, the stored state returns immediately.
-        Callers must treat the returned :class:`FrameMemory` as read-only
-        (clone before mutating).
+        The returned delta is shared and read-only: a caller redoes the
+        clear by writing its ``rows`` into its own copy of the base, at
+        ``frames``.
         """
         key = (base_key, region_key(region))
         with self._lock:

@@ -8,11 +8,13 @@ pieces of work that depend only on the base: parsing the base bitstream
 into frame memory and clearing each region's tiles.  :class:`BatchJpg`
 factors both out:
 
-* the base configuration is parsed **once** and shared (each per-module
-  :class:`~repro.core.jpg.Jpg` clones it cheaply);
-* cleared-region frames are shared through a content-keyed
-  :class:`~repro.batch.cache.FrameCache`, so K versions of one region
-  pay for one clear;
+* the base configuration is decoded **once** per content per process
+  (:func:`~repro.jbits.api.decoded_base`) and the engine keeps that
+  read-only memory itself as :attr:`BatchJpg.base_frames`; each
+  per-module :class:`~repro.core.jpg.Jpg` clones it;
+* each region's clear is shared through a content-keyed
+  :class:`~repro.batch.cache.FrameCache` as the delta of the frames it
+  changed, so K versions of one region pay for one clear;
 
 and runs the independent per-module replay/emit pipelines through a
 pluggable :mod:`execution backend <repro.exec>` — ``serial`` (the
@@ -39,11 +41,12 @@ from ..bitstream.assembler import full_stream_size
 from ..bitstream.bitfile import BitFile
 from ..bitstream.frames import FrameMemory
 from ..core.jpg import Jpg, JpgOptions, PartialResult
+from ..devices import get_device
 from ..errors import ReproError
 from ..exec.backend import POOLED_BACKENDS, Backend, get_backend
 from ..flow.floorplan import RegionRect
 from ..flow.ncd import NcdDesign
-from ..jbits.api import JBits
+from ..jbits.api import JBits, decoded_base
 from ..obs import Metrics, use_metrics
 from ..ucf.parser import UcfFile, parse_ucf
 from .cache import CacheStats, FrameCache
@@ -194,8 +197,6 @@ class BatchJpg:
         pooled = backend in POOLED_BACKENDS   # a Backend instance never is
         self.backend = get_backend(backend, max_workers if pooled else None)
         if isinstance(base_bitstream, FrameMemory) and full_size is not None:
-            from ..devices import get_device
-
             if base_bitstream.device != get_device(part):
                 raise ReproError(
                     f"frame memory is for {base_bitstream.device.name}, "
@@ -206,13 +207,19 @@ class BatchJpg:
             self._base_frames = base_bitstream
             self._full_size = full_size
         else:
-            with use_metrics(self.metrics):
-                jb = JBits(part)
-                with self.metrics.stage("batch.load_base", part=part):
+            device = get_device(part)
+            with use_metrics(self.metrics), \
+                    self.metrics.stage("batch.load_base", part=part):
+                if isinstance(base_bitstream, FrameMemory):
+                    # a private copy: the caller may still write to theirs
+                    jb = JBits(device)
                     jb.read(base_bitstream)
-                assert jb.frames is not None
-                self._base_frames = jb.frames
-                self._full_size = full_stream_size(jb.device)
+                    assert jb.frames is not None
+                    self._base_frames = jb.frames
+                else:
+                    # the shared read-only decode itself, not a copy of it
+                    self._base_frames = decoded_base(device, base_bitstream)
+            self._full_size = full_stream_size(device)
         # the frame-cache key of the base, hashed once for every item
         self._base_key = self.cache.base_key(self._base_frames)
 
@@ -223,8 +230,8 @@ class BatchJpg:
 
     @property
     def base_frames(self) -> FrameMemory:
-        """The parsed base configuration (treat as read-only; clone before
-        mutating)."""
+        """The decoded base configuration, shared and read-only (clone
+        before mutating)."""
         return self._base_frames
 
     @property

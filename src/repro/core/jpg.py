@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 from ..bitstream.assembler import full_stream_size
 from ..bitstream.bitfile import BitFile
 from ..bitstream.bitgen import bit_writes
-from ..bitstream.frames import FrameMemory
+from ..bitstream.frames import FrameDelta, FrameMemory
 from ..devices import packaged_name
 from ..errors import JpgError
 from ..flow.floorplan import RegionRect
@@ -237,13 +237,13 @@ class Jpg:
     def _clear_region(self, region: RegionRect, base_key: str | None) -> None:
         """Zero the region's tiles, dirtying the frames that change.
 
-        With a :class:`~repro.batch.cache.FrameCache` attached, the cleared
-        state is keyed by (current configuration content, region footprint)
-        and shared: every later clear of the same region on the same base
-        copies the region's column frames back from the cached state
-        instead of re-zeroing them.  The content key is ``base_key`` when
-        the caller knows the current frames are still the base, else a
-        fresh hash of them.
+        With a :class:`~repro.batch.cache.FrameCache` attached, the clear
+        is keyed by (current configuration content, region footprint) and
+        shared as the :class:`~repro.bitstream.frames.FrameDelta` of the
+        frames it changed: every later clear of the same region on the same
+        content writes those rows back and dirties those frames instead of
+        re-zeroing.  The content key is ``base_key`` when the caller knows
+        the current frames are still the base, else a fresh hash of them.
         """
         if self.frame_cache is None:
             self.jbits.clear_region(region)
@@ -254,25 +254,17 @@ class Jpg:
 
         computed = False
 
-        def compute() -> tuple[FrameMemory, frozenset[int]]:
+        def compute() -> FrameDelta:
             nonlocal computed
             computed = True
-            prev = set(self.jbits.dirty_frames)
-            self.jbits.clear_region(region)
-            added = frozenset(set(self.jbits.dirty_frames) - prev)
-            return self.frames.clone(), added
+            return FrameDelta.capture(self.frames, self.jbits.clear_region(region))
 
-        cleared, clear_dirty = self.frame_cache.cleared(base_key, region, compute)
+        delta = self.frame_cache.cleared(base_key, region, compute)
         if computed:
             return  # the frames were cleared in place, dirty set and all
-        # a hit: the cached state was cleared from frames equal to these, so
-        # it differs from them only inside the region's CLB columns
-        g = self.jbits.device.geometry
-        for col in region.clb_columns():
-            major = g.major_of_clb_col(col)
-            block = slice(g.frame_base(major), g.frame_base(major) + g.columns[major].frames)
-            self.frames.data[block] = cleared.data[block]
-        self.jbits.touch_frames(clear_dirty)
+        # a hit: the delta was cleared from frames equal to these
+        self.frames.data[delta.frames] = delta.rows
+        self.jbits.touch_frames(delta.frames.tolist())
 
     def _as_design(self, module: NcdDesign | str) -> NcdDesign:
         if isinstance(module, NcdDesign):

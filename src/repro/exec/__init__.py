@@ -25,7 +25,6 @@ from .backend import (
 from .pool import WarmPool, WarmPoolBackend
 from .shm import (
     ArenaSpec,
-    FrameDelta,
     OutputArena,
     SharedFrames,
     ShmSpec,
@@ -38,7 +37,6 @@ __all__ = [
     "MAX_DEFAULT_WORKERS",
     "Backend",
     "ExecError",
-    "FrameDelta",
     "OutputArena",
     "SerialBackend",
     "SharedFrames",

@@ -380,18 +380,17 @@ class WarmPoolBackend(Backend):
 
     def _ingest(self, engine, raw):
         """Fold one worker reply into the parent engine: merge its metrics
-        snapshot, re-seed the engine's frame cache from the reply's
-        cleared-state deltas, and count its frame-cache hits/misses.
-        This is the one reader of the reply format (see
+        snapshot, re-seed the engine's frame cache with the reply's
+        cleared-state deltas as they are, and count its frame-cache
+        hits/misses.  This is the one reader of the reply format (see
         :mod:`repro.exec.worker`)."""
         result, snapshot, cleared = raw
         counters = snapshot.get("counters", {})
         self.pool.record_ingest(counters.get("framecache.hit", 0),
                                 counters.get("framecache.miss", 0))
         engine.metrics.merge(snapshot)
-        for base_key, region, dirty, delta in cleared:
-            state = (delta.apply(engine.base_frames), frozenset(dirty))
-            engine.cache.put(base_key, region, state)
+        for base_key, region, delta in cleared:
+            engine.cache.put(base_key, region, delta)
         return result
 
     def _gauge(self, engine) -> None:

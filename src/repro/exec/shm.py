@@ -10,11 +10,12 @@ segment and wrap the mapped buffer in a read-only numpy view, so the base
 crosses the process boundary zero-copy and exists in physical memory
 exactly once.
 
-Results travel the other way as :class:`FrameDelta` objects: only the
-frames that differ from the shared base (their indices plus their raw
-words), never a whole frame memory.  Between the two, task payloads and
-results stay small — a parsed module, a region rectangle, a handful of
-changed frames.
+Results travel the other way through an :class:`OutputArena`; a
+cleared region in a reply is the
+:class:`~repro.bitstream.frames.FrameDelta` the frame cache holds — the
+frames the clear changed, never a whole frame memory.  Between the two,
+task payloads and results stay small — a parsed module, a region
+rectangle, a handful of changed frames.
 
 Lifecycle: the parent owns the segment (:meth:`SharedFrames.publish` /
 :meth:`SharedFrames.unlink`); workers only ever attach and close.  A
@@ -218,40 +219,3 @@ class OutputArena:
                 self._shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-
-
-@dataclass(frozen=True)
-class FrameDelta:
-    """Frames of one memory that differ from a shared base.
-
-    ``indices`` are linear frame numbers; ``words`` is the raw uint32
-    payload of those frames, row-major, serialized as bytes so the object
-    pickles compactly.  This is the wire format of every cleared-region
-    state a worker sends home.
-    """
-
-    indices: tuple[int, ...]
-    words: bytes
-
-    @classmethod
-    def between(cls, base: FrameMemory, other: FrameMemory) -> "FrameDelta":
-        """The delta that turns ``base`` into ``other``."""
-        changed = base.diff_frames(other)
-        if not changed:
-            return cls((), b"")
-        return cls(tuple(changed), other.data[changed].tobytes())
-
-    def apply(self, base: FrameMemory) -> FrameMemory:
-        """A clone of ``base`` with this delta's frames overwritten."""
-        out = base.clone()
-        if self.indices:
-            rows = np.frombuffer(self.words, dtype=np.uint32).reshape(
-                len(self.indices), base.data.shape[1]
-            )
-            out.data[list(self.indices)] = rows
-        return out
-
-    @property
-    def nbytes(self) -> int:
-        """Payload size of the delta in bytes."""
-        return len(self.words)

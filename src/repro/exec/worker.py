@@ -11,10 +11,10 @@ reply is a pickle of
   bytes are the product; they are already small),
 * a metrics snapshot of this task's counters/timers, merged into the
   parent registry so one report covers the whole pool, and
-* any cleared-region states this task computed, encoded as
-  :class:`~repro.exec.shm.FrameDelta` against the shared base — the
-  parent re-seeds its own cache from these, so work done in a worker
-  warms every later run.
+* any cleared-region states this task computed, as the cache holds
+  them: each a :class:`~repro.bitstream.frames.FrameDelta` of the frames
+  the clear changed — the parent stores these in its own cache as they
+  are, so work done in a worker warms every later run.
 
 The reply is written into this worker's slot of a shared
 :class:`~repro.exec.shm.OutputArena`, not sent through the pipe.  With a
@@ -37,34 +37,30 @@ from typing import TYPE_CHECKING
 from ..batch.cache import ClearedState, FrameCache
 from ..errors import ExecError
 from ..obs import Metrics
-from .shm import FrameDelta, ShmSpec, attach_frames
+from .shm import ShmSpec, attach_frames
 
 if TYPE_CHECKING:
     from ..batch.engine import BatchItem, BatchItemResult
     from ..flow.floorplan import RegionRect
     from ..flow.ncd import NcdDesign
 
-#: One cleared state on the wire: (base key, region, dirty frames, delta).
-ClearedRecord = tuple[str, "RegionRect", tuple[int, ...], FrameDelta]
+#: One cleared state on the wire: (base key, region, the clear's delta).
+ClearedRecord = tuple[str, "RegionRect", ClearedState]
 
 #: Worker-global state set once by :func:`worker_init`.
 _STATE: dict | None = None
 
 
 class _RecordingCache(FrameCache):
-    """An in-memory frame cache that remembers what it computed, as deltas
-    against the shared base, so tasks can send those states home."""
+    """An in-memory frame cache that remembers what it computed, so tasks
+    can send those states home."""
 
-    def __init__(self, base) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._base = base
         self._records: list[ClearedRecord] = []
 
     def _computed(self, base_key: str, region, value: ClearedState) -> None:
-        frames, dirty = value
-        self._records.append(
-            (base_key, region, tuple(sorted(dirty)), FrameDelta.between(self._base, frames))
-        )
+        self._records.append((base_key, region, value))
 
     def drain(self) -> list[ClearedRecord]:
         records, self._records = self._records, []
@@ -89,7 +85,7 @@ def worker_init(
             DiskCache(cache_spec[1], max_bytes=cache_spec[2])
         )
     else:
-        cache = _RecordingCache(frames)
+        cache = _RecordingCache()
     from ..batch.engine import BatchJpg
 
     engine = BatchJpg(

@@ -14,6 +14,7 @@ exactly why partial bitstreams come out column-shaped.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
@@ -25,9 +26,38 @@ from ..devices import BITS_PER_ROW, Device, Field, IobSite, get_device
 from ..devices.resources import SLICE
 from ..devices.wires import PipDef, pip_by_wires
 from ..errors import JBitsError
+from ..utils import LruStore
 
 if TYPE_CHECKING:
     from ..flow.floorplan import RegionRect
+
+
+#: Decoded bases kept per process, 765 KB each on an XCV1000: a batch, a
+#: service or a ``jpg generate`` loop works against one or two bases.
+_BASE_CACHE_MAX = 8
+_base_cache = LruStore(_BASE_CACHE_MAX)
+
+
+def decoded_base(device: Device, data: bytes | BitFile) -> FrameMemory:
+    """The configuration a complete bitstream sets up on ``device``,
+    decoded once per content per process.
+
+    Entries are keyed by (part, sha256 of the configuration bytes), the
+    content-key idiom of :func:`repro.batch.cache.fingerprint`, and
+    shared: the returned memory is read-only (clone it before writing).
+    A stream that fails to decode raises its typed error on every call
+    and is never stored.
+    """
+    if isinstance(data, BitFile):
+        data = data.config_bytes
+    key = (device.name, hashlib.sha256(data).digest())
+    fm = _base_cache.get(key)
+    if fm is None:
+        fm = FrameMemory(device)
+        apply_bitstream(fm, data)
+        fm.data.setflags(write=False)
+        _base_cache.put(key, fm)
+    return fm
 
 
 class JBits:
@@ -41,20 +71,19 @@ class JBits:
     # -- loading --------------------------------------------------------------
 
     def read(self, data: bytes | BitFile | FrameMemory) -> None:
-        """Load a complete bitstream (resets dirty tracking)."""
+        """Load a complete bitstream (resets dirty tracking).
+
+        The frames are a private copy: of ``data`` itself when it is a
+        :class:`FrameMemory`, else of its :func:`decoded_base`."""
         if isinstance(data, FrameMemory):
             if data.device != self.device:
                 raise JBitsError(
                     f"frame memory is for {data.device.name}, "
                     f"JBits instance is for {self.device.name}"
                 )
-            self.frames = data.clone()
         else:
-            if isinstance(data, BitFile):
-                data = data.config_bytes
-            fm = FrameMemory(self.device)
-            apply_bitstream(fm, data)
-            self.frames = fm
+            data = decoded_base(self.device, data)
+        self.frames = data.clone()
         self._dirty.clear()
 
     def read_partial(self, data: bytes | BitFile) -> None:
@@ -160,8 +189,10 @@ class JBits:
             base, g.columns[major].frames, off, off + BITS_PER_ROW
         ))
 
-    def clear_region(self, region: RegionRect) -> None:
-        """Zero every configuration bit of a rectangle of CLB tiles.
+    def clear_region(self, region: RegionRect) -> list[int]:
+        """Zero every configuration bit of a rectangle of CLB tiles;
+        returns the frames that changed, sorted (all of them, dirty before
+        or not).
 
         Equal, in frames and dirty set, to :meth:`clear_tile` on each of
         its tiles, but one :meth:`FrameMemory.clear_bit_range` per column:
@@ -175,11 +206,14 @@ class JBits:
         g.check_tile(region.rmax, region.cmax)
         lo = g.row_bit_offset(region.rmin)
         hi = g.row_bit_offset(region.rmax) + BITS_PER_ROW
+        changed: list[int] = []
         for col in range(region.cmin, region.cmax + 1):
             major = g.major_of_clb_col(col)
-            self._dirty.update(fm.clear_bit_range(
+            changed += fm.clear_bit_range(
                 g.frame_base(major), g.columns[major].frames, lo, hi
-            ))
+            )
+        self._dirty.update(changed)
+        return sorted(changed)
 
     # -- convenience (mirrors common JBits idioms) ------------------------------------
 

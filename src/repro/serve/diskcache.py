@@ -7,7 +7,8 @@ disk, keyed entirely by content:
 
 * **cleared-region states** under ``<root>/cleared/``, keyed by
   ``(base fingerprint, region footprint)`` — one ``.npz`` holding the
-  frame array, the dirty-frame set, and the device name;
+  clear's :class:`~repro.bitstream.frames.FrameDelta`: the device name,
+  the changed frames' indices and their cleared rows;
 * **finished partial bitstreams** under ``<root>/partials/``, keyed by
   ``(base fingerprint, region footprint, module digest)`` — the raw
   configuration bytes, byte-identical to a fresh generation.
@@ -16,7 +17,8 @@ Content keying makes entries immutable: a key either names exactly one
 value or nothing, so a second process (or a process restarted after a
 kill) can trust whatever it finds.  Writes are atomic (temp file +
 ``os.replace``) so a crash mid-store leaves no torn entry, and unreadable
-entries are treated as misses and deleted.
+entries — torn, of an older format, or with shapes or frame indices that
+do not fit their device — are treated as misses and deleted.
 
 Cross-process coordination uses ``fcntl`` file locks under
 ``<root>/locks/``: :meth:`DiskCache.lock` serializes the *fetch* and the
@@ -50,7 +52,7 @@ except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
 from ..batch.cache import ClearedState, FrameCache
-from ..bitstream.frames import FrameMemory
+from ..bitstream.frames import FrameDelta
 from ..devices import get_device
 from ..errors import ServeError
 from ..flow.floorplan import RegionRect
@@ -158,9 +160,9 @@ class DiskCache:
         path = self.cleared_path(base_key, region)
         try:
             with np.load(path, allow_pickle=False) as npz:
-                device = get_device(str(npz["device"]))
-                frames = FrameMemory(device, npz["data"])
-                dirty = frozenset(int(i) for i in npz["dirty"])
+                # FrameDelta checks the shapes and the index range
+                delta = FrameDelta(get_device(str(npz["device"])),
+                                   npz["frames"], npz["rows"])
         except FileNotFoundError:
             self._miss()
             return None
@@ -172,21 +174,20 @@ class DiskCache:
             self._miss()
             return None
         self._hit(path)
-        return frames, dirty
+        return delta
 
     def store_cleared(self, base_key: str, region: RegionRect,
                       value: ClearedState) -> None:
         """Persist one cleared-region state (atomic write-then-rename)."""
-        frames, dirty = value
         path = self.cleared_path(base_key, region)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
                 np.savez(
                     f,
-                    device=np.array(frames.device.name),
-                    data=frames.data,
-                    dirty=np.array(sorted(dirty), dtype=np.int64),
+                    device=np.array(value.device.name),
+                    frames=value.frames,
+                    rows=value.rows,
                 )
             os.replace(tmp, path)
         except BaseException:

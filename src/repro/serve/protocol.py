@@ -12,7 +12,10 @@ One request or response per line, UTF-8 JSON.  Ops:
     "frames": N, "source": "generated"|"disk", "full_size": N,
     "data": <base64 config bytes>}``
     or ``{"id": 3, "ok": false, "code": "queue-full"|"bad-request"|
-    "generation-failed", "error": "..."}``
+    "generation-failed"|"internal-error", "error": "..."}``; an
+    ``internal-error`` is a fault of the service itself (any exception
+    that is not a :class:`~repro.errors.ReproError`), counted as
+    ``serve.internal_errors``.
 ``{"op": "shutdown", "id": 4}``
     → ``{"id": 4, "ok": true}`` after the scheduler drains; the server
     then stops accepting connections.
@@ -54,6 +57,7 @@ import signal
 import socket
 import sys
 import threading
+import traceback
 
 from ..errors import (
     QueueFullError,
@@ -291,6 +295,16 @@ class JpgServer:
             # region, bad granularity): the client must still get an answer
             await self._send(writer, wlock, {
                 "id": rid, "ok": False, "code": "bad-request", "error": str(exc),
+            })
+            return
+        except Exception as exc:
+            # a fault of the service itself (a bug, a full disk under the
+            # cache): answer now rather than leave the client to time out
+            traceback.print_exc(file=sys.stderr)
+            self.service.metrics.count("serve.internal_errors")
+            await self._send(writer, wlock, {
+                "id": rid, "ok": False, "code": "internal-error",
+                "error": f"{type(exc).__name__}: {exc}",
             })
             return
         if not result.ok:

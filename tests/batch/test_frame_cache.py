@@ -1,11 +1,13 @@
 """Frame cache tests: content keying, hit/miss, invalidation, single-flight."""
 
+import hashlib
 import threading
 
+import numpy as np
 import pytest
 
 from repro.batch import FrameCache, fingerprint
-from repro.bitstream.frames import FrameMemory
+from repro.bitstream.frames import FrameDelta, FrameMemory
 from repro.core import Jpg
 from repro.devices import get_device
 from repro.flow.floorplan import RegionRect
@@ -20,6 +22,11 @@ def device():
 @pytest.fixture()
 def region():
     return RegionRect(0, 2, 15, 11)
+
+
+def _delta(device, frames=()) -> FrameDelta:
+    """A cleared state changing ``frames`` of a blank memory."""
+    return FrameDelta.capture(FrameMemory(device), frames)
 
 
 class TestFingerprint:
@@ -38,20 +45,32 @@ class TestFingerprint:
         b = FrameMemory(get_device("XCV100"))
         assert fingerprint(a) != fingerprint(b)
 
+    @pytest.mark.parametrize("part", ["XCV50", "XCV300"])
+    def test_digest_is_name_then_frame_bytes(self, part):
+        """Hashing the frames in place keeps every existing disk-cache key:
+        the digest is still sha256(part name + data.tobytes())."""
+        fm = FrameMemory(get_device(part))
+        rng = np.random.default_rng(len(part))
+        fm.data[:] = rng.integers(0, 2**32, size=fm.data.shape, dtype=np.uint64)
+        want = hashlib.sha256(part.encode() + fm.data.tobytes()).hexdigest()
+        assert fingerprint(fm) == want
+        fm.data.setflags(write=False)   # a shared read-only base hashes alike
+        assert fingerprint(fm) == want
+
 
 class TestHitMiss:
     def test_miss_then_hit(self, device, region):
         cache = FrameCache()
-        cleared = FrameMemory(device)
+        cleared = _delta(device, [1, 2])
         calls = []
 
         def factory():
             calls.append(1)
-            return cleared, frozenset({1, 2})
+            return cleared
 
         out1 = cache.cleared("base", region, factory)
         out2 = cache.cleared("base", region, factory)
-        assert out1 == out2 == (cleared, frozenset({1, 2}))
+        assert out1 is out2 is cleared
         assert len(calls) == 1
         assert cache.stats.hits == 1 and cache.stats.misses == 1
         assert cache.stats.hit_rate == 0.5
@@ -60,8 +79,8 @@ class TestHitMiss:
     def test_distinct_regions_distinct_entries(self, device, region):
         cache = FrameCache()
         other = RegionRect(0, 12, 15, 21)
-        cache.cleared("base", region, lambda: (FrameMemory(device), frozenset()))
-        cache.cleared("base", other, lambda: (FrameMemory(device), frozenset()))
+        cache.cleared("base", region, lambda: _delta(device))
+        cache.cleared("base", other, lambda: _delta(device))
         assert cache.stats.misses == 2 and cache.stats.hits == 0
         assert len(cache) == 2
 
@@ -69,8 +88,8 @@ class TestHitMiss:
         cache = FrameCache()
         m = Metrics()
         with use_metrics(m):
-            cache.cleared("base", region, lambda: (FrameMemory(device), frozenset()))
-            cache.cleared("base", region, lambda: (FrameMemory(device), frozenset()))
+            cache.cleared("base", region, lambda: _delta(device))
+            cache.cleared("base", region, lambda: _delta(device))
         assert m.counter("framecache.miss") == 1
         assert m.counter("framecache.hit") == 1
 
@@ -82,7 +101,7 @@ class TestHitMiss:
         def worker():
             def factory():
                 calls.append(1)
-                return FrameMemory(device), frozenset()
+                return _delta(device)
 
             gate.wait()
             cache.cleared("base", region, factory)
@@ -100,25 +119,25 @@ class TestInvalidation:
     def test_base_change_is_a_miss(self, device, region):
         """Content keying: a different base digest never matches."""
         cache = FrameCache()
-        cache.cleared("base-v1", region, lambda: (FrameMemory(device), frozenset()))
-        cache.cleared("base-v2", region, lambda: (FrameMemory(device), frozenset()))
+        cache.cleared("base-v1", region, lambda: _delta(device))
+        cache.cleared("base-v2", region, lambda: _delta(device))
         assert cache.stats.misses == 2 and cache.stats.hits == 0
 
     def test_invalidate_all(self, device, region):
         cache = FrameCache()
-        cache.cleared("base", region, lambda: (FrameMemory(device), frozenset()))
+        cache.cleared("base", region, lambda: _delta(device))
         assert cache.invalidate() == 1
-        cache.cleared("base", region, lambda: (FrameMemory(device), frozenset()))
+        cache.cleared("base", region, lambda: _delta(device))
         assert cache.stats.misses == 2
 
     def test_invalidate_one_base(self, device, region):
         cache = FrameCache()
-        cache.cleared("a", region, lambda: (FrameMemory(device), frozenset()))
-        cache.cleared("b", region, lambda: (FrameMemory(device), frozenset()))
+        cache.cleared("a", region, lambda: _delta(device))
+        cache.cleared("b", region, lambda: _delta(device))
         assert cache.invalidate("a") == 1
         assert len(cache) == 1
         # b survives: next lookup hits
-        cache.cleared("b", region, lambda: (FrameMemory(device), frozenset()))
+        cache.cleared("b", region, lambda: _delta(device))
         assert cache.stats.hits == 1
 
 
@@ -210,21 +229,21 @@ class TestPut:
 
     def test_put_seeds_a_lookup_free_entry(self, device, region):
         cache = FrameCache()
-        cleared = FrameMemory(device)
-        assert cache.put("base", region, (cleared, frozenset({3}))) is True
+        cleared = _delta(device, [3])
+        assert cache.put("base", region, cleared) is True
         assert len(cache) == 1
         assert cache.stats.lookups == 0, "seeding must not count as traffic"
         # a later cleared() against the seeded key is a plain hit
         out = cache.cleared("base", region, lambda: pytest.fail("factory ran"))
-        assert out == (cleared, frozenset({3}))
+        assert out is cleared
         assert cache.stats.hits == 1 and cache.stats.misses == 0
 
     def test_put_never_overwrites(self, device, region):
         cache = FrameCache()
-        first = FrameMemory(device)
-        cache.cleared("base", region, lambda: (first, frozenset()))
+        first = _delta(device)
+        cache.cleared("base", region, lambda: first)
         second = FrameMemory(device)
         second.set_bit(0, 0, 1)
-        assert cache.put("base", region, (second, frozenset({0}))) is False
+        assert cache.put("base", region, FrameDelta.capture(second, [0])) is False
         out = cache.cleared("base", region, lambda: pytest.fail("factory ran"))
-        assert out[0] is first
+        assert out is first

@@ -2,13 +2,15 @@
 backend, exercised directly (publish/attach lifecycle, delta round-trips).
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.bitstream.frames import FrameMemory
+from repro.bitstream.frames import FrameDelta, FrameMemory
 from repro.devices import get_device
 from repro.errors import ExecError
-from repro.exec import FrameDelta, SharedFrames, ShmSpec, attach_frames
+from repro.exec import SharedFrames, ShmSpec, attach_frames
 
 
 def _frames(seed: int = 0) -> FrameMemory:
@@ -81,23 +83,32 @@ class TestSharedFrames:
 
 
 class TestFrameDelta:
+    """The delta a cleared region travels as (it lives in
+    repro.bitstream.frames; workers pickle it into their replies)."""
+
     def test_roundtrip(self):
         base = _frames(6)
         other = base.clone()
         other.data[5, 2] ^= 0x80000000
         other.data[300] = 0
-        delta = FrameDelta.between(base, other)
-        assert delta.indices == (5, 300)
-        assert delta.nbytes == 2 * base.data.shape[1] * 4
-        rebuilt = delta.apply(base)
+        delta = FrameDelta.capture(other, [300, 5])
+        assert delta.frames.tolist() == [5, 300]
+        assert delta.nbytes == 2 * base.data.shape[1] * 4 + 2 * 8
+        shipped = pickle.loads(pickle.dumps(delta, protocol=pickle.HIGHEST_PROTOCOL))
+        assert shipped == delta
+        assert not shipped.rows.flags.writeable
+        rebuilt = base.clone()
+        rebuilt.data[shipped.frames] = shipped.rows
         assert rebuilt == other
-        assert rebuilt is not other
 
     def test_empty_delta(self):
         base = _frames(7)
-        delta = FrameDelta.between(base, base.clone())
-        assert delta.indices == () and delta.words == b""
-        assert delta.apply(base) == base
+        delta = FrameDelta.capture(base, [])
+        assert len(delta) == 0 and delta.nbytes == 0
+        assert delta.rows.shape == (0, base.data.shape[1])
+        rebuilt = base.clone()
+        rebuilt.data[delta.frames] = delta.rows
+        assert rebuilt == base
 
     def test_delta_is_much_smaller_than_the_memory(self):
         """The reason deltas exist: a cleared region touches a sliver of
@@ -105,13 +116,17 @@ class TestFrameDelta:
         base = _frames(8)
         other = base.clone()
         other.data[10:58] = 0  # one CLB column's 48 frames
-        delta = FrameDelta.between(base, other)
+        delta = FrameDelta.capture(other, range(10, 58))
         assert delta.nbytes <= base.data.nbytes // 10
 
     def test_applies_against_read_only_base(self):
         base = _frames(9)
         other = base.clone()
         other.data[0, 0] ^= 1
-        delta = FrameDelta.between(base, other)
+        delta = FrameDelta.capture(other, [0])
         base.data.setflags(write=False)
-        assert delta.apply(base) == other
+        rebuilt = base.clone()
+        rebuilt.data[delta.frames] = delta.rows
+        assert rebuilt == other
+        with pytest.raises(ValueError):
+            delta.rows[0, 0] = 0

@@ -26,6 +26,7 @@ import pytest
 
 from repro.batch import BatchJpg
 from repro.batch.engine import items_from_project
+from repro.bitstream.frames import FrameDelta
 from repro.errors import ExecError
 from repro.exec import ArenaSpec, OutputArena, WarmPool, WarmPoolBackend
 
@@ -152,6 +153,26 @@ class TestPoolLifecycle:
         assert pool.tasks == 2 * len(items)
         for a, b in zip(report1.results, report2.results):
             assert a.result.data == b.result.data
+
+    def test_replies_seed_the_parent_cache_with_clear_deltas(self, demo_project,
+                                                              warm_engine):
+        """Each cleared region a worker computed comes home as the frame
+        cache's own delta and is stored as is: the parent's entries equal
+        the ones a serial engine computes."""
+        engine, _ = warm_engine
+        items = items_from_project(demo_project)
+        assert engine.run(items).ok
+        serial = BatchJpg("XCV50", demo_project.base_bitfile)
+        assert serial.run(items).ok
+
+        def absent():
+            pytest.fail("entry missing")
+
+        assert len(engine.cache) == len(serial.cache) == len(demo_project.regions)
+        for region in demo_project.regions.values():
+            got = engine.cache.cleared(engine.base_key, region, absent)
+            assert isinstance(got, FrameDelta) and len(got) > 0
+            assert got == serial.cache.cleared(serial.base_key, region, absent)
 
     def test_crash_once_recycles_and_retries(self, demo_project, warm_engine,
                                              monkeypatch, tmp_path):

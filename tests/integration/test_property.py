@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro import utils
 from repro.bitstream.assembler import partial_stream
-from repro.bitstream.frames import FrameMemory
+from repro.bitstream.frames import FrameDelta, FrameMemory
 from repro.bitstream.reader import apply_bitstream
 from repro.devices import get_device
 from repro.devices.resources import SLICE
@@ -115,12 +115,12 @@ class TestServePersistenceProperties:
         ).astype(np.uint32) & fm._payload_mask[None, :]
         region = RegionRect(corner[0], corner[1], corner[0] + 2, corner[1] + 2)
         disk = DiskCache(str(tmp_path_factory.mktemp("dc")))
-        disk.store_cleared("k" * 64, region, (fm, frozenset(dirty)))
+        delta = FrameDelta.capture(fm, dirty)
+        disk.store_cleared("k" * 64, region, delta)
         loaded = disk.load_cleared("k" * 64, region)
-        assert loaded is not None
-        frames, loaded_dirty = loaded
-        assert frames == fm
-        assert loaded_dirty == frozenset(dirty)
+        assert loaded == delta
+        assert loaded.frames.tolist() == sorted(dirty)
+        assert np.array_equal(loaded.rows, fm.data[sorted(dirty)])
 
     @given(data=st.binary(min_size=0, max_size=4096))
     @settings(max_examples=25, deadline=None)

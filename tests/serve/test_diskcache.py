@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.batch.cache import FrameCache
-from repro.bitstream.frames import FrameMemory
+from repro.bitstream.frames import FrameDelta, FrameMemory
 from repro.devices import get_device
 from repro.flow.floorplan import RegionRect
 from repro.serve import DiskCache, PersistentFrameCache, region_tag
@@ -33,6 +33,16 @@ def _frames(seed: int = 0) -> FrameMemory:
     return fm
 
 
+def _delta(seed: int = 0, frames=(3, 4, 5)) -> FrameDelta:
+    """A cleared-state delta: ``frames`` of a seeded random memory."""
+    return FrameDelta.capture(_frames(seed), frames)
+
+
+def _write_npz(path, **arrays) -> None:
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+
+
 class TestRegionTag:
     def test_tag_shapes(self):
         assert region_tag(REGION) == "0_2_15_11"
@@ -42,14 +52,14 @@ class TestRegionTag:
 class TestClearedRoundtrip:
     def test_store_load(self, tmp_path):
         disk = DiskCache(str(tmp_path))
-        fm = _frames(1)
-        disk.store_cleared(KEY, REGION, (fm, frozenset({3, 4, 5})))
+        delta = _delta(1)
+        disk.store_cleared(KEY, REGION, delta)
         loaded = disk.load_cleared(KEY, REGION)
-        assert loaded is not None
-        frames, dirty = loaded
-        assert frames == fm and frames.device.name == "XCV50"
-        assert dirty == frozenset({3, 4, 5})
+        assert loaded == delta and loaded.device.name == "XCV50"
+        assert loaded.frames.tolist() == [3, 4, 5]
         assert disk.stats.hits == 1 and disk.stats.stores == 1
+        # the entry is the delta, not a whole-device copy
+        assert os.path.getsize(disk.cleared_path(KEY, REGION)) < _frames().data.nbytes // 10
 
     def test_absent_is_miss(self, tmp_path):
         disk = DiskCache(str(tmp_path))
@@ -65,6 +75,46 @@ class TestClearedRoundtrip:
         assert disk.load_cleared(KEY, REGION) is None
         assert not os.path.exists(path), "corrupt entry must be deleted"
         assert disk.stats.misses == 1
+
+    def test_old_format_entry_is_dropped(self, tmp_path):
+        """A whole-device entry of the earlier format (``data`` + ``dirty``)
+        is a miss and is deleted, so the key can be stored afresh."""
+        disk = DiskCache(str(tmp_path))
+        path = disk.cleared_path(KEY, REGION)
+        _write_npz(path, device=np.array("XCV50"), data=_frames(1).data,
+                   dirty=np.array([3, 4, 5], dtype=np.int64))
+        assert disk.load_cleared(KEY, REGION) is None
+        assert not os.path.exists(path)
+        disk.store_cleared(KEY, REGION, _delta(1))
+        assert disk.load_cleared(KEY, REGION) == _delta(1)
+
+    @pytest.mark.parametrize("frames, n_rows, width", [
+        ([3, 4], 2, 1),             # rows too narrow
+        ([3, 4, 5], 2, None),       # one row short
+        ([5, 4, 3], 3, None),       # not increasing
+        ([3, 3, 4], 3, None),       # a repeated frame
+        ([-1, 4, 5], 3, None),      # before frame 0
+        ([3, 4, 10**6], 3, None),   # past the device
+    ])
+    def test_misfit_entry_is_dropped(self, tmp_path, frames, n_rows, width):
+        disk = DiskCache(str(tmp_path))
+        width = width or get_device("XCV50").geometry.frame_words
+        path = disk.cleared_path(KEY, REGION)
+        _write_npz(path, device=np.array("XCV50"),
+                   frames=np.array(frames, dtype=np.int64),
+                   rows=np.zeros((n_rows, width), dtype=np.uint32))
+        assert disk.load_cleared(KEY, REGION) is None
+        assert not os.path.exists(path)
+        assert disk.stats.misses == 1
+
+    def test_unknown_device_entry_is_dropped(self, tmp_path):
+        disk = DiskCache(str(tmp_path))
+        path = disk.cleared_path(KEY, REGION)
+        delta = _delta(1)
+        _write_npz(path, device=np.array("XCV9999"), frames=delta.frames,
+                   rows=delta.rows)
+        assert disk.load_cleared(KEY, REGION) is None
+        assert not os.path.exists(path)
 
     def test_tmp_litter_is_ignored(self, tmp_path):
         disk = DiskCache(str(tmp_path), max_bytes=10_000_000)
@@ -108,12 +158,12 @@ class TestPartialsAndEviction:
 class TestPersistentFrameCache:
     def test_second_cache_fetches_from_disk(self, tmp_path):
         disk = DiskCache(str(tmp_path))
-        fm = _frames(2)
+        delta = _delta(2, [9])
         calls = []
 
         def factory():
             calls.append(1)
-            return fm, frozenset({9})
+            return delta
 
         first = PersistentFrameCache(disk)
         out1 = first.cleared(KEY, REGION, factory)
@@ -124,7 +174,7 @@ class TestPersistentFrameCache:
         out2 = second.cleared(KEY, REGION, factory)
         assert len(calls) == 1
         assert second.stats.hits == 1 and second.stats.misses == 0
-        assert out2[0] == out1[0] and out2[1] == out1[1]
+        assert out2 == out1 == delta
 
     def test_thread_stress_exactly_one_compute(self, tmp_path):
         """Satellite (c): N threads, one key -> one compute, stats add up."""
@@ -138,7 +188,7 @@ class TestPersistentFrameCache:
             def factory():
                 computes.append(threading.get_ident())
                 time.sleep(0.05)  # widen the race window
-                return _frames(3), frozenset({1})
+                return _delta(3, [1])
 
             gate.wait()
             results.append(cache.cleared(KEY, REGION, factory))
@@ -150,7 +200,7 @@ class TestPersistentFrameCache:
             t.join()
         assert len(computes) == 1
         assert cache.stats.misses == 1 and cache.stats.hits == 7
-        assert all(r[0] is results[0][0] for r in results)
+        assert all(r is results[0] for r in results)
 
     def test_disk_backed_thread_stress_two_caches(self, tmp_path):
         """Same stress, threads split across two cache instances sharing one
@@ -168,7 +218,7 @@ class TestPersistentFrameCache:
             def factory():
                 computes.append(i)
                 time.sleep(0.05)
-                return _frames(4), frozenset()
+                return _delta(4, [])
 
             gate.wait()
             results.append(caches[i % 2].cleared(KEY, REGION, factory))
@@ -182,8 +232,7 @@ class TestPersistentFrameCache:
         total = sum(c.stats.hits + c.stats.misses for c in caches)
         assert total == 6
         # every caller, whichever instance it went through, got the same state
-        assert all(r[0] == results[0][0] and r[1] == results[0][1]
-                   for r in results)
+        assert all(r == results[0] for r in results)
         # and the disk holds exactly one converged entry
         disk = DiskCache(str(tmp_path))
         assert disk.load_cleared(KEY, REGION) is not None
@@ -209,7 +258,7 @@ class TestPersistentFrameCache:
             t.start()
             t.join(timeout=5)   # would deadlock-wait if cleared() held it
             lock_free_during_compute.append(bool(acquired))
-            return _frames(5), frozenset({2})
+            return _delta(5, [2])
 
         cache.cleared(KEY, REGION, factory)
         assert lock_free_during_compute == [True]
@@ -219,7 +268,7 @@ WORKER_SCRIPT = """
 import sys, time
 sys.path.insert(0, {src!r})
 from repro.serve import DiskCache, PersistentFrameCache
-from repro.bitstream.frames import FrameMemory
+from repro.bitstream.frames import FrameDelta, FrameMemory
 from repro.devices import get_device
 from repro.flow.floorplan import RegionRect
 
@@ -230,10 +279,10 @@ def factory():
     with open(marker, "a") as f:
         f.write("compute\\n")
     time.sleep(0.4)   # long enough for the sibling to pile on the lock
-    return FrameMemory(get_device("XCV50")), frozenset({{7}})
+    return FrameDelta.capture(FrameMemory(get_device("XCV50")), [7])
 
-frames, dirty = cache.cleared("k" * 64, RegionRect(0, 2, 15, 11), factory)
-assert dirty == frozenset({{7}})
+delta = cache.cleared("k" * 64, RegionRect(0, 2, 15, 11), factory)
+assert delta.frames.tolist() == [7]
 print("done", cache.stats.hits, cache.stats.misses)
 """
 
@@ -266,7 +315,7 @@ class TestCrossProcess:
         # duplicates converged: one valid entry serves both processes
         disk = DiskCache(root)
         loaded = disk.load_cleared("k" * 64, RegionRect(0, 2, 15, 11))
-        assert loaded is not None and loaded[1] == frozenset({7})
+        assert loaded is not None and loaded.frames.tolist() == [7]
 
     @pytest.mark.serve
     def test_cache_survives_kill_minus_nine(self, tmp_path):
@@ -277,14 +326,14 @@ class TestCrossProcess:
 import sys, time
 sys.path.insert(0, {os.path.abspath(SRC)!r})
 from repro.serve import DiskCache
-from repro.bitstream.frames import FrameMemory
+from repro.bitstream.frames import FrameDelta, FrameMemory
 from repro.devices import get_device
 from repro.flow.floorplan import RegionRect
 
 disk = DiskCache(sys.argv[1])
 fm = FrameMemory(get_device("XCV50"))
 fm.set_bit(10, 0, 1)
-disk.store_cleared("b" * 64, RegionRect(0, 2, 15, 11), (fm, frozenset({{10}})))
+disk.store_cleared("b" * 64, RegionRect(0, 2, 15, 11), FrameDelta.capture(fm, [10]))
 disk.store_partial("b" * 64, None, "m" * 64, b"partial-bytes")
 print("READY", flush=True)
 time.sleep(300)   # spin until killed
@@ -304,9 +353,10 @@ time.sleep(300)   # spin until killed
 
         disk = DiskCache(root)
         loaded = disk.load_cleared("b" * 64, RegionRect(0, 2, 15, 11))
-        assert loaded is not None
-        frames, dirty = loaded
-        assert frames.get_bit(10, 0) == 1 and dirty == frozenset({10})
+        assert loaded is not None and loaded.frames.tolist() == [10]
+        rebuilt = FrameMemory(get_device("XCV50"))
+        rebuilt.data[loaded.frames] = loaded.rows
+        assert rebuilt.get_bit(10, 0) == 1
         assert disk.load_partial("b" * 64, None, "m" * 64) == b"partial-bytes"
 
 

@@ -113,6 +113,49 @@ class TestOps:
             ServeClient(server["sock"]).ping()
 
 
+class BrokenService(FakeService):
+    """A service whose generate fails outside ReproError, as a bug or a
+    full disk under the cache would."""
+
+    def generate(self, request):
+        if request.name == "oserror":
+            raise OSError(28, "No space left on device")
+        if request.name == "bug":
+            raise RuntimeError("synthetic bug")
+        return super().generate(request)
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("name, text", [
+        ("bug", "RuntimeError: synthetic bug"),
+        ("oserror", "No space left on device"),
+    ])
+    def test_non_repro_error_gets_a_reply(self, tmp_path, name, text):
+        """The client gets an internal-error envelope at once, not a
+        timeout, and the node keeps serving and counts the fault."""
+        service = BrokenService()
+        srv = JpgServer(service, max_queue=8, workers=2)
+        path = str(tmp_path / "b.sock")
+        thread = threading.Thread(
+            target=lambda: asyncio.run(srv.serve_unix(path)), daemon=True
+        )
+        thread.start()
+        connect(path).close()
+        try:
+            with ServeClient(path, timeout=30) as client:
+                start = time.monotonic()
+                resp = client.submit(name, "some xdl")
+                assert time.monotonic() - start < 5
+                assert not resp["ok"] and resp["code"] == "internal-error"
+                assert text in resp["error"]
+                assert client.submit("fine", "some xdl")["ok"]
+            assert service.metrics.counter("serve.internal_errors") == 1
+        finally:
+            with ServeClient(path) as c:
+                c.shutdown()
+            thread.join(timeout=10)
+
+
 class TestPipelining:
     def test_many_submits_one_connection(self, server):
         """Responses are id-matched, whatever order they complete in."""

@@ -4,11 +4,14 @@ Real-generation paths (cold/warm/byte-identity) live in the differential
 and CLI suites; this file covers the service's own contract.
 """
 
+import os
+
+import numpy as np
 import pytest
 
 from repro.errors import UsageError
 from repro.exec import SerialBackend
-from repro.serve import GenRequest, GenerationService
+from repro.serve import DiskCache, GenRequest, GenerationService
 
 pytestmark = pytest.mark.serve
 
@@ -87,3 +90,30 @@ class TestDeployOnGenerate:
     def test_no_board_no_deploy_flag(self, service, demo_project):
         result = service.generate(request_for(demo_project, version="up"))
         assert result.ok and not result.deployed
+
+
+class TestClearedSpill:
+    def test_old_format_entry_regenerates_identical_bytes(self, demo_project, tmp_path):
+        """A cleared-region spill in the earlier whole-device format is a
+        miss: it is dropped, the clear runs again, the partial comes out
+        byte-identical and the entry is stored afresh as a delta."""
+        root = str(tmp_path / "cache")
+        req = request_for(demo_project)
+        first = GenerationService("XCV50", demo_project.base_bitfile, cache_dir=root)
+        want = first.generate(req)
+        assert want.ok and want.source == "generated"
+        path = DiskCache(root).cleared_path(first.base_key, demo_project.regions["r1"])
+        with open(path, "wb") as f:
+            np.savez(f, device=np.array("XCV50"), data=first.engine.base_frames.data,
+                     dirty=np.arange(4, dtype=np.int64))
+        partials = os.path.join(root, "partials")
+        for name in os.listdir(partials):
+            os.unlink(os.path.join(partials, name))
+
+        second = GenerationService("XCV50", demo_project.base_bitfile, cache_dir=root)
+        got = second.generate(req)
+        assert got.ok and got.source == "generated"
+        assert got.data == want.data
+        assert second.metrics.counter("framecache.miss") == 1
+        with np.load(path) as npz:
+            assert sorted(npz.files) == ["device", "frames", "rows"]
