@@ -14,8 +14,6 @@ helpers::
     jpg serve -p XCV100 --base b.bit --socket /tmp/jpg.sock --cache-dir .jpgcache
     jpg serve -p XCV100 --base b.bit --tcp 0.0.0.0:4100 --cache-dir .jpgcache
     jpg submit --socket /tmp/jpg.sock --xdl m.xdl --ucf m.ucf -o out.bit
-    jpg submit --socket fleet.json --xdl m.xdl --ucf m.ucf -o out.bit
-    jpg loadgen --workload demo -n 1000 --nodes 3 --out replay.json
 
 ``jpg batch`` is the Figure-4 workflow: a JSON manifest lists N module
 versions (xdl/ucf/region each) and the engine generates all their partials
@@ -23,9 +21,7 @@ against one base with shared frame caching, printing a per-module
 timing/size table (see :mod:`repro.batch`).  ``jpg serve`` keeps that
 engine resident (see :mod:`repro.serve`): clients ``jpg submit`` requests
 over a unix socket or TCP and repeated requests are answered from the
-persistent on-disk cache.  Given a fleet file instead of one node's
-address, ``jpg submit`` routes on the client: each request goes to its
-key's owner on the consistent-hash ring (see :mod:`repro.cluster`).
+persistent on-disk cache.
 
 Exit codes are distinct so scripts can branch without parsing stderr:
 
@@ -491,16 +487,6 @@ def _cmd_serve(args) -> int:
         from ..jbits import SimulatedXhwif
 
         xhwif = SimulatedXhwif(Board(args.part))
-    peer_fetch = None
-    if args.peers_file:
-        if not args.node_id:
-            raise UsageError("--peers-file needs --node-id NAME (this node's "
-                             "name in the fleet file)")
-        from ..cluster import Membership, PeerFiller
-
-        peer_fetch = PeerFiller(
-            Membership(path=args.peers_file), args.node_id, part=args.part
-        )
     service = GenerationService(
         args.part,
         base,
@@ -512,13 +498,12 @@ def _cmd_serve(args) -> int:
         sanctioned=([_parse_region(s, "--sanction") for s in args.sanction]
                     if args.sanction else None),
         backend=_resolve_backend(args),
-        peer_fetch=peer_fetch,
     )
     server = JpgServer(service, max_queue=args.max_queue, workers=args.workers)
 
     async def _serve_tcp() -> None:
         # publish the bound (possibly ephemeral) port once the listener
-        # is up — this is how a spawned fleet learns its own membership
+        # is up, so whoever spawned the node with --tcp HOST:0 can dial it
         host, port = parse_address(args.tcp)
         task = asyncio.ensure_future(
             server.serve_tcp(host, port, handle_signals=True)
@@ -536,33 +521,22 @@ def _cmd_serve(args) -> int:
                 os.replace(tmp, args.port_file)
         await task
 
-    try:
-        if args.stdio:
-            asyncio.run(server.serve_stdio())
-        elif args.tcp:
-            asyncio.run(_serve_tcp())
-        else:
-            print(f"jpg serve: {args.part}, listening on {args.socket}",
-                  file=sys.stderr)
-            asyncio.run(server.serve_unix(args.socket, handle_signals=True))
-    finally:
-        if peer_fetch is not None:
-            peer_fetch.close()
+    if args.stdio:
+        asyncio.run(server.serve_stdio())
+    elif args.tcp:
+        asyncio.run(_serve_tcp())
+    else:
+        print(f"jpg serve: {args.part}, listening on {args.socket}",
+              file=sys.stderr)
+        asyncio.run(server.serve_unix(args.socket, handle_signals=True))
     print("jpg serve: drained and stopped", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_loadgen(args) -> int:
-    from ..cluster import loadgen
-
-    return loadgen.main(args.loadgen_args, prog="jpg loadgen")
-
-
 def _cmd_submit(args) -> int:
-    from ..cluster import connect
-    from ..serve import decode_partial
+    from ..serve import ServeClient, decode_partial
 
-    with connect(args.socket, timeout=args.timeout) as client:
+    with ServeClient(args.socket, timeout=args.timeout) as client:
         if args.shutdown:
             client.shutdown()
             print("server drained and shut down")
@@ -870,14 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(port 0 binds an ephemeral port)")
     p.add_argument("--port-file", metavar="FILE",
                    help="write the bound TCP port here once listening "
-                        "(fleet bootstrap with --tcp HOST:0)")
-    p.add_argument("--peers-file", metavar="FILE",
-                   help='fleet membership JSON ({"nodes": {name: addr}}); '
-                        "arms peer fill: disk misses ask the key's owning "
-                        "peer before generating (re-read on change)")
-    p.add_argument("--node-id", metavar="NAME",
-                   help="this node's name in the fleet file (required with "
-                        "--peers-file)")
+                        "(how a caller learns the port of --tcp HOST:0)")
     p.add_argument("--stdio", action="store_true",
                    help="serve one client over stdin/stdout instead of a socket")
     p.add_argument("--cache-dir",
@@ -910,19 +877,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "inside these regions (T001/T002 vs the base)")
     p.set_defaults(fn=_cmd_serve)
 
-    # the harness defines its own options (repro.cluster.loadgen.main);
-    # main() hands it every argument after the subcommand
-    p = sub.add_parser("loadgen", add_help=False,
-                       help="fleet-scale load harness: zipf-skewed replay, "
-                            "latency quantiles, per-tier hit ratios, "
-                            "byte-identity check (jpg loadgen --help)")
-    p.set_defaults(fn=_cmd_loadgen)
-
     p = sub.add_parser("submit", help="submit one generation request to a "
                                       "running jpg serve")
     p.add_argument("--socket", required=True,
-                   help="server address: unix socket path or HOST:PORT of "
-                        "one node, or a fleet file (routed on the client)")
+                   help="server address: unix socket path or HOST:PORT")
     p.add_argument("--xdl", help="module implementation .xdl")
     p.add_argument("--ucf", help="constraints .ucf (provides the region)")
     p.add_argument("--region", help="explicit region SITE:SITE (overrides UCF)")
@@ -990,11 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if args.command == "loadgen":
-        args.loadgen_args = extra
-    elif extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = parser.parse_args(argv)
     if args.command == "merge" and not args.overwrite and not args.output:
         parser.error("merge needs -o/--output or --overwrite")
     try:

@@ -11,7 +11,7 @@ different ways —
   queue (reject-with-reason backpressure), per-region FIFO ordering,
   coalescing of identical in-flight requests, and graceful drain;
 * :mod:`repro.serve.protocol` — a JSON-lines wire protocol over a unix
-  socket or stdio, plus the blocking :class:`ServeClient` behind the
+  socket, TCP or stdio, plus the blocking :class:`ServeClient` behind the
   ``jpg submit`` CLI.
 
 See ``docs/API.md`` ("Generation service") for the full contract.

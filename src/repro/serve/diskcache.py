@@ -130,14 +130,9 @@ class DiskCache:
         self, base_key: str, region: RegionRect | None, module_digest: str
     ) -> str:
         """On-disk path of one finished partial bitstream."""
-        return self.partial_path_tag(base_key, region_tag(region), module_digest)
-
-    def partial_path_tag(self, base_key: str, tag: str, module_digest: str) -> str:
-        """On-disk path of one finished partial, by footprint *tag* — the
-        form peer-fill ``fetch`` requests carry on the wire."""
         return os.path.join(
             self.root, "partials",
-            f"{base_key[:32]}-{tag}-{module_digest[:32]}.bit",
+            f"{base_key[:32]}-{region_tag(region)}-{module_digest[:32]}.bit",
         )
 
     def lock(self, name: str) -> AbstractContextManager:
@@ -201,12 +196,7 @@ class DiskCache:
     def load_partial(self, base_key: str, region: RegionRect | None,
                      module_digest: str) -> bytes | None:
         """The stored partial bitstream for the key, or None."""
-        return self.load_partial_tag(base_key, region_tag(region), module_digest)
-
-    def load_partial_tag(self, base_key: str, tag: str,
-                         module_digest: str) -> bytes | None:
-        """The stored partial for a tag-form key, or None (peer fetches)."""
-        path = self.partial_path_tag(base_key, tag, module_digest)
+        path = self.partial_path(base_key, region, module_digest)
         try:
             with open(path, "rb") as f:
                 data = f.read()
@@ -216,10 +206,10 @@ class DiskCache:
         self._hit(path)
         return data
 
-    def store_partial_tag(self, base_key: str, tag: str, module_digest: str,
-                          data: bytes) -> None:
-        """Persist one finished partial under a tag-form key (atomic)."""
-        path = self.partial_path_tag(base_key, tag, module_digest)
+    def store_partial(self, base_key: str, region: RegionRect | None,
+                      module_digest: str, data: bytes) -> None:
+        """Persist one finished partial (atomic write-then-rename)."""
+        path = self.partial_path(base_key, region, module_digest)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
@@ -230,11 +220,6 @@ class DiskCache:
                 os.unlink(tmp)
             raise
         self._stored()
-
-    def store_partial(self, base_key: str, region: RegionRect | None,
-                      module_digest: str, data: bytes) -> None:
-        """Persist one finished partial (atomic write-then-rename)."""
-        self.store_partial_tag(base_key, region_tag(region), module_digest, data)
 
     # -- accounting / capping -------------------------------------------------
 

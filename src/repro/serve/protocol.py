@@ -19,13 +19,6 @@ One request or response per line, UTF-8 JSON.  Ops:
 ``{"op": "shutdown", "id": 4}``
     → ``{"id": 4, "ok": true}`` after the scheduler drains; the server
     then stops accepting connections.
-``{"op": "fetch", "id": 5, "base": <base key>, "region": <region tag>,
-"digest": <module digest>}``
-    → ``{"id": 5, "ok": true, "found": true, "data": <base64>}`` when the
-    node's disk cache holds the key, ``{"id": 5, "ok": true, "found":
-    false}`` otherwise.  This is the cluster peer-fill op
-    (:mod:`repro.cluster`): strictly cache-to-cache, it never triggers a
-    generation on the answering node.
 
 Submits are pipelined: a client may send many on one connection without
 waiting; responses carry the request's ``id`` and arrive in completion
@@ -34,8 +27,8 @@ against the same base — coalesce onto one generation (see
 :mod:`repro.serve.scheduler`).
 
 The server listens on a unix socket (``jpg serve --socket PATH``), a TCP
-host:port (``--tcp HOST:PORT`` — the cluster transport; port 0 binds an
-ephemeral port, published via ``JpgServer.tcp_address``), or stdin/stdout
+host:port (``--tcp HOST:PORT``; port 0 binds an ephemeral port,
+published via ``JpgServer.tcp_address``), or stdin/stdout
 (``--stdio``, one client).  :class:`ServeClient` is the blocking client
 the ``jpg submit`` CLI uses; it dials either transport
 (:func:`parse_address` decides which form an address string is).
@@ -163,9 +156,9 @@ class JpgServer:
 
     async def serve_tcp(self, host: str = "127.0.0.1", port: int = 0, *,
                         handle_signals: bool = False) -> None:
-        """Listen on TCP ``host:port`` (the cluster transport) until a
-        ``shutdown`` op or SIGTERM; ``port=0`` binds an ephemeral port,
-        published as :attr:`tcp_address` before the first connection."""
+        """Listen on TCP ``host:port`` until a ``shutdown`` op or SIGTERM;
+        ``port=0`` binds an ephemeral port, published as
+        :attr:`tcp_address` before the first connection."""
         server = await asyncio.start_server(self._handle, host=host, port=port)
         sockname = server.sockets[0].getsockname()
         self.tcp_address = (sockname[0], sockname[1])
@@ -248,8 +241,6 @@ class JpgServer:
                 elif op == "ping":
                     await self._send(writer, wlock,
                                      {"id": msg.get("id"), "ok": True, "op": "pong"})
-                elif op == "fetch":
-                    await self._send(writer, wlock, self._fetch_reply(msg))
                 elif op == "stats":
                     await self._send(writer, wlock, {
                         "id": msg.get("id"), "ok": True,
@@ -328,25 +319,6 @@ class JpgServer:
             "data": base64.b64encode(result.data).decode(),
         })
 
-    def _fetch_reply(self, msg: dict) -> dict:
-        """Answer a peer-fill ``fetch`` op from the local disk cache.
-
-        Tolerates service doubles without ``fetch_partial`` (always a
-        miss), so the op is safe against any node."""
-        rid = msg.get("id")
-        base = msg.get("base")
-        tag = msg.get("region")
-        digest = msg.get("digest")
-        if not all(isinstance(v, str) and v for v in (base, tag, digest)):
-            return {"id": rid, "ok": False, "code": "bad-request",
-                    "error": "fetch needs string 'base', 'region', 'digest'"}
-        fetch = getattr(self.service, "fetch_partial", None)
-        data = fetch(base, tag, digest) if fetch is not None else None
-        if data is None:
-            return {"id": rid, "ok": True, "found": False}
-        return {"id": rid, "ok": True, "found": True,
-                "data": base64.b64encode(data).decode()}
-
     @staticmethod
     async def _send(writer: asyncio.StreamWriter, wlock: asyncio.Lock,
                     obj: dict) -> None:
@@ -357,9 +329,8 @@ class JpgServer:
 
 
 class ServeClient:
-    """Blocking JSON-lines client over a unix socket or TCP (``jpg
-    submit`` and the cluster's :class:`~repro.cluster.FleetClient`, which
-    peer fill shares across threads, all dial this).
+    """Blocking JSON-lines client over a unix socket or TCP (what ``jpg
+    submit`` dials).
 
     ``address`` is either a unix-socket path, a ``"host:port"`` string,
     or a ``(host, port)`` tuple (see :func:`parse_address`).
@@ -404,8 +375,8 @@ class ServeClient:
     def request(self, msg: dict) -> dict:
         """Send one op and return its (id-matched) response.
 
-        Serialised per client: threads sharing one connection (peer fill
-        does) take turns, so no reader consumes another's reply."""
+        Serialised per client: threads sharing one connection take turns,
+        so no reader consumes another's reply."""
         with self._lock:
             self._next_id += 1
             rid = msg.get("id", self._next_id)
@@ -438,19 +409,6 @@ class ServeClient:
     def shutdown(self) -> dict:
         """Ask the server to drain and exit (the ``shutdown`` op)."""
         return self.request({"op": "shutdown"})
-
-    def fetch(self, base_key: str, region_tag: str, digest: str) -> bytes | None:
-        """Peer-fill fetch: the node's cached bytes for a key, or None.
-
-        Strictly cache-to-cache — a miss on the peer never triggers a
-        generation there (the ``fetch`` op contract)."""
-        resp = self.request({
-            "op": "fetch", "base": base_key, "region": region_tag,
-            "digest": digest,
-        })
-        if not resp.get("ok") or not resp.get("found"):
-            return None
-        return base64.b64decode(resp["data"])
 
     def submit(
         self,

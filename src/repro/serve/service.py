@@ -39,7 +39,7 @@ from ..flow.floorplan import RegionRect
 from ..flow.ncd import NcdDesign
 from ..obs import Metrics, use_metrics
 from ..runtime import ReconfigSession, RetryPolicy
-from .diskcache import DiskCache, PersistentFrameCache
+from .diskcache import DiskCache, PersistentFrameCache, region_tag
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ class GenRequest:
     @classmethod
     def from_message(cls, msg: dict) -> "GenRequest":
         """The request a wire ``submit`` message describes (raises
-        :class:`UsageError` for a message no node would accept)."""
+        :class:`UsageError` for a malformed message)."""
         xdl = msg.get("xdl")
         if not isinstance(xdl, str) or not xdl.strip():
             raise UsageError("submit needs non-empty 'xdl' text")
@@ -122,7 +122,7 @@ class ServeResult:
     request: GenRequest
     data: bytes | None
     seconds: float
-    source: str                       # "generated" | "disk" | "peer"
+    source: str                       # "generated" | "disk"
     frames: int = 0
     error: str | None = None
     deployed: bool = False
@@ -155,7 +155,6 @@ class GenerationService:
         lint: bool = False,
         sanctioned: list[RegionRect] | None = None,
         backend: str | Backend = "serial",
-        peer_fetch=None,
     ):
         """``backend`` picks how generations execute (see
         :mod:`repro.exec`): ``"serial"`` (the default) runs them inline
@@ -163,14 +162,7 @@ class GenerationService:
         pool of worker processes over a shared-memory base.  ``sanctioned``
         (with ``lint``) arms the gate's tamper rules: served partials
         must stay inside the policy regions and must not edit routing
-        relative to the service's own base configuration.
-
-        ``peer_fetch`` is the cluster's two-tier cache seam: a callable
-        ``(base_key, region_tag, digest) -> bytes | None`` tried after a
-        local disk miss and *before* generating.  Bytes it returns are
-        stored into the local disk cache (warming tier 1) and served with
-        ``source="peer"``; ``None`` falls through to generation.  See
-        :mod:`repro.cluster`."""
+        relative to the service's own base configuration."""
         self.metrics = metrics if metrics is not None else Metrics(keep_events=False)
         self.disk: DiskCache | None = (
             DiskCache(cache_dir, max_bytes=max_cache_bytes) if cache_dir else None
@@ -187,7 +179,6 @@ class GenerationService:
             )
         self.part = part
         self.base_design = base_design
-        self.peer_fetch = peer_fetch
         self._session = (
             ReconfigSession(xhwif, policy=retry) if xhwif is not None else None
         )
@@ -220,8 +211,6 @@ class GenerationService:
 
     def partial_key(self, request: GenRequest) -> tuple[str, str, str]:
         """The (base fingerprint, region tag, module digest) cache key."""
-        from .diskcache import region_tag
-
         return self.base_key, region_tag(request.region_rect()), request.digest()
 
     # -- the serving path -----------------------------------------------------
@@ -241,15 +230,6 @@ class GenerationService:
                     self.metrics.count("serve.served_from_disk")
                     result = ServeResult(
                         request, data, time.perf_counter() - start, "disk"
-                    )
-                    if self._lint_ok(result):
-                        self._maybe_deploy(result)
-                    return result
-            if self.peer_fetch is not None:
-                data = self._try_peer_fill(request, region)
-                if data is not None:
-                    result = ServeResult(
-                        request, data, time.perf_counter() - start, "peer"
                     )
                     if self._lint_ok(result):
                         self._maybe_deploy(result)
@@ -277,45 +257,6 @@ class GenerationService:
             if self._lint_ok(result):
                 self._maybe_deploy(result)
             return result
-
-    def _try_peer_fill(self, request: GenRequest, region) -> bytes | None:
-        """Tier-2 lookup: ask the key's owning peer for its cached bytes.
-
-        A hit warms the local disk cache (tier 1) before being served, so
-        a re-sharded or restarted fleet converges back to disk-speed
-        without regenerating.  Any peer failure degrades to a miss — the
-        generation path below is always available."""
-        from .diskcache import region_tag
-
-        tag = region_tag(region)
-        with self.metrics.stage("serve.peer_fill", module=request.name):
-            try:
-                data = self.peer_fetch(self.base_key, tag, request.digest())
-            except Exception:
-                self.metrics.count("serve.peer_errors")
-                return None
-        if data is None:
-            self.metrics.count("serve.peer_miss")
-            return None
-        self.metrics.count("serve.served_from_peer")
-        if self.disk is not None:
-            self.disk.store_partial_tag(self.base_key, tag, request.digest(), data)
-        return data
-
-    def fetch_partial(self, base_key: str, tag: str, digest: str) -> bytes | None:
-        """Answer a peer's ``fetch`` op from the local disk cache only.
-
-        Never generates: peer fill is strictly a cache-to-cache transfer,
-        so a fleet-wide cold key costs exactly one generation (on the
-        node the client picked), not a fan-out.  Keys against a different
-        base configuration are a miss by definition."""
-        if self.disk is None or base_key != self.base_key:
-            self.metrics.count("serve.fetch_miss")
-            return None
-        data = self.disk.load_partial_tag(base_key, tag, digest)
-        self.metrics.count("serve.fetch_hit" if data is not None
-                           else "serve.fetch_miss")
-        return data
 
     def _lint_ok(self, result: ServeResult) -> bool:
         """Pre-serve gate: statically analyze the bytes about to leave.
@@ -388,7 +329,7 @@ class GenerationService:
             "counters": {
                 k: v for k, v in sorted(snap["counters"].items())
                 if k.startswith(("serve.", "framecache.", "batch.", "analyze.",
-                                 "exec.", "cluster."))
+                                 "exec."))
             },
             "gauges": snap["gauges"],
             "latency": {

@@ -480,36 +480,6 @@ class TestServeSubmit:
         stats = capsys.readouterr().out
         assert "serve.generated" in stats and "disk" in stats
 
-    def test_submit_through_a_fleet_file(self, server, artifacts, tmp_path,
-                                         capsys):
-        """A regular file as --socket is a fleet file: the client routes
-        the request to its key's owner (here the one node)."""
-        import json
-
-        fleet = tmp_path / "fleet.json"
-        fleet.write_text(json.dumps({"nodes": {"n0": server["sock"]}}))
-        out = str(tmp_path / "fleet.bit")
-        rc = main(["submit", "--socket", str(fleet),
-                   "--xdl", artifacts["xdl"], "--ucf", artifacts["ucf"],
-                   "-o", out])
-        assert rc == 0
-        assert "from generated" in capsys.readouterr().out
-
-        from repro.bitstream.bitfile import BitFile
-
-        direct = str(tmp_path / "direct.bit")
-        assert main(["generate", "-p", "XCV50",
-                     "--base", artifacts["base_bit"],
-                     "--xdl", artifacts["xdl"], "--ucf", artifacts["ucf"],
-                     "-o", direct]) == 0
-        assert BitFile.load(out).config_bytes == BitFile.load(direct).config_bytes
-        capsys.readouterr()
-
-        assert main(["submit", "--socket", str(fleet), "--stats"]) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["n0"]["counters"]["serve.generated"] == 1
-        assert main(["submit", "--socket", str(fleet), "--shutdown"]) == 0
-
     def test_submit_bad_region_is_usage_error(self, server, artifacts, capsys):
         rc = main(["submit", "--socket", server["sock"],
                    "--xdl", artifacts["xdl"], "--region", "oops"])
@@ -522,6 +492,62 @@ class TestServeSubmit:
                    "--xdl", artifacts["xdl"]])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.serve
+class TestServeTcpNode:
+    """A spawned ``jpg serve --tcp 127.0.0.1:0 --port-file F`` process:
+    the way a caller starts a node whose port it does not choose."""
+
+    def test_spawned_node_serves_generated_then_disk(self, artifacts, capsys):
+        import os
+        import subprocess
+        import sys
+        import time
+
+        from repro.bitstream.bitfile import BitFile
+
+        tmp = artifacts["tmp"]
+        port_file = tmp / "port"
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.core.cli", "serve", "-p", "XCV50",
+             "--base", artifacts["base_bit"], "--tcp", "127.0.0.1:0",
+             "--port-file", str(port_file), "--cache-dir", str(tmp / "cache")],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while not port_file.exists():
+                assert proc.poll() is None, proc.stderr.read().decode()
+                assert time.monotonic() < deadline, "no port file"
+                time.sleep(0.02)
+            address = f"127.0.0.1:{int(port_file.read_text())}"
+
+            served = []
+            for source in ("generated", "disk"):
+                out = str(tmp / f"{source}.bit")
+                assert main(["submit", "--socket", address,
+                             "--xdl", artifacts["xdl"], "--ucf", artifacts["ucf"],
+                             "-o", out]) == 0
+                assert f"from {source}" in capsys.readouterr().out
+                served.append(BitFile.load(out).config_bytes)
+
+            direct = str(tmp / "direct.bit")
+            assert main(["generate", "-p", "XCV50",
+                         "--base", artifacts["base_bit"],
+                         "--xdl", artifacts["xdl"], "--ucf", artifacts["ucf"],
+                         "-o", direct]) == 0
+            assert served == [BitFile.load(direct).config_bytes] * 2
+
+            assert main(["submit", "--socket", address, "--shutdown"]) == 0
+            _, err = proc.communicate(timeout=30)
+            assert proc.returncode == 0
+            assert "drained and stopped" in err.decode()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
 
 
 class TestServeSubmitErrors:
@@ -563,27 +589,15 @@ class TestServeSubmitErrors:
         assert rc == 3
         assert "queue full" in capsys.readouterr().err
 
-    def test_submit_to_an_empty_fleet_is_unavailable(self, tmp_path, capsys):
-        fleet = tmp_path / "fleet.json"
-        fleet.write_text('{"nodes": {}}')
+    def test_submit_to_a_regular_file_is_unavailable(self, tmp_path, capsys):
+        """--socket names one node; a regular file is no server."""
+        not_a_socket = tmp_path / "nodes.json"
+        not_a_socket.write_text('{"nodes": {}}')
         xdl = tmp_path / "m.xdl"
         xdl.write_text("design d XCV50;\n")
-        rc = main(["submit", "--socket", str(fleet), "--xdl", str(xdl)])
+        rc = main(["submit", "--socket", str(not_a_socket), "--xdl", str(xdl)])
         assert rc == 3
-        assert "no fleet node answered" in capsys.readouterr().err
-
-    def test_loadgen_parses_its_own_options(self, capsys):
-        """jpg loadgen hands every argument to the harness's one parser."""
-        with pytest.raises(SystemExit) as exc:
-            main(["loadgen", "--help"])
-        assert exc.value.code == 0
-        assert "usage: jpg loadgen" in capsys.readouterr().out
-        with pytest.raises(SystemExit) as exc:
-            main(["loadgen", "--bogus"])
-        assert exc.value.code == 2
-        with pytest.raises(SystemExit) as exc:
-            main(["info", "XCV50", "--bogus"])
-        assert exc.value.code == 2
+        assert f"cannot reach jpg serve at {not_a_socket}" in capsys.readouterr().err
 
     def test_serve_needs_a_transport(self, tmp_path, capsys):
         base = tmp_path / "b.bit"

@@ -360,64 +360,66 @@ time.sleep(300)   # spin until killed
         assert disk.load_partial("b" * 64, None, "m" * 64) == b"partial-bytes"
 
 
-class TestTagHelpers:
-    def test_tag_and_rect_paths_agree(self, tmp_path):
-        """The wire-facing *_tag helpers address exactly the same entries
-        as the RegionRect-facing ones (the peer-fill contract)."""
+class TestOnDiskNames:
+    """Entry file names are part of the on-disk format: a cache directory
+    written by an earlier release must still hit."""
+
+    def test_partial_file_name_is_stable(self, tmp_path):
         disk = DiskCache(str(tmp_path))
-        tag = region_tag(REGION)
-        assert disk.partial_path_tag(KEY, tag, DIGEST) == \
-            disk.partial_path(KEY, REGION, DIGEST)
-        disk.store_partial_tag(KEY, tag, DIGEST, b"via-tag")
-        assert disk.load_partial(KEY, REGION, DIGEST) == b"via-tag"
-        assert disk.load_partial_tag(KEY, tag, DIGEST) == b"via-tag"
+        name = f"{KEY[:32]}-0_2_15_11-{DIGEST[:32]}.bit"
+        assert disk.partial_path(KEY, REGION, DIGEST) == \
+            os.path.join(disk.root, "partials", name)
+        (tmp_path / "partials" / name).write_bytes(b"written-earlier")
+        assert disk.load_partial(KEY, REGION, DIGEST) == b"written-earlier"
 
-    def test_tag_none_matches_region_none(self, tmp_path):
+    def test_region_none_file_name_is_stable(self, tmp_path):
         disk = DiskCache(str(tmp_path))
-        disk.store_partial(KEY, None, DIGEST, b"regionless")
-        assert disk.load_partial_tag(KEY, "none", DIGEST) == b"regionless"
+        name = f"{KEY[:32]}-none-{DIGEST[:32]}.bit"
+        (tmp_path / "partials" / name).write_bytes(b"regionless")
+        assert disk.load_partial(KEY, None, DIGEST) == b"regionless"
+        assert disk.partial_path(KEY, None, DIGEST).endswith(name)
 
 
-PEERFILL_SCRIPT = """
+CONVERGE_SCRIPT = """
 import sys, time
 sys.path.insert(0, {src!r})
+from repro.flow.floorplan import RegionRect
 from repro.serve import DiskCache
 
 root, mode, payload_path = sys.argv[1], sys.argv[2], sys.argv[3]
 with open(payload_path, "rb") as f:
     payload = f.read()
 disk = DiskCache(root, max_bytes=int(sys.argv[4]))
-key, tag, digest = "c" * 64, "0_2_15_11", "e" * 64
+key, region, digest = "c" * 64, RegionRect(0, 2, 15, 11), "e" * 64
 deadline = time.monotonic() + 5.0
 # both processes hammer the same key concurrently until the deadline:
-# one plays the generate path (store via rect-less tag store), the other
-# the peer-fill path (fetch, store on hit) -- like a node racing a peer
+# one keeps storing it, as a generating node does; the other loads it
+# and stores what it read back, as a node racing the first one would
 while time.monotonic() < deadline:
-    if mode == "generate":
-        disk.store_partial_tag(key, tag, digest, payload)
+    if mode == "store":
+        disk.store_partial(key, region, digest, payload)
     else:
-        got = disk.load_partial_tag(key, tag, digest)
+        got = disk.load_partial(key, region, digest)
         if got is not None:
-            assert got == payload, "peer read torn or divergent bytes"
-            disk.store_partial_tag(key, tag, digest, got)
+            assert got == payload, "read torn or divergent bytes"
+            disk.store_partial(key, region, digest, got)
             break
     time.sleep(0.01)
 print("done", flush=True)
 """
 
 
-class TestConcurrentPeerFill:
+class TestConcurrentStores:
     @pytest.mark.serve
-    @pytest.mark.cluster
-    def test_fetch_vs_generate_converge_byte_identically(self, tmp_path):
-        """Two processes fill one key concurrently — one generating, one
-        peer-filling (fetch then store) — and must converge on a single
+    def test_load_vs_store_converge_byte_identically(self, tmp_path):
+        """Two processes fill one key concurrently — one storing, one
+        loading then storing what it read — and must converge on a single
         byte-identical entry, with the LRU byte cap still honored."""
         payload = bytes(range(256)) * 8          # 2 KiB, recognizable
         payload_path = tmp_path / "payload.bin"
         payload_path.write_bytes(payload)
         script = tmp_path / "filler.py"
-        script.write_text(PEERFILL_SCRIPT.format(src=os.path.abspath(SRC)))
+        script.write_text(CONVERGE_SCRIPT.format(src=os.path.abspath(SRC)))
         root = str(tmp_path / "cache")
         cap = 100_000
         procs = [
@@ -425,27 +427,26 @@ class TestConcurrentPeerFill:
                 [sys.executable, str(script), root, mode,
                  str(payload_path), str(cap)],
                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-            for mode in ("generate", "peerfill")
+            for mode in ("store", "load")
         ]
         for p in procs:
             out, err = p.communicate(timeout=60)
             assert p.returncode == 0, err.decode()
             assert out.decode().startswith("done")
         disk = DiskCache(root, max_bytes=cap)
-        assert disk.load_partial_tag("c" * 64, "0_2_15_11", "e" * 64) == payload
+        assert disk.load_partial("c" * 64, REGION, "e" * 64) == payload
         assert disk.size_bytes() <= cap
 
     @pytest.mark.serve
-    @pytest.mark.cluster
-    def test_peer_fill_respects_lru_cap(self, tmp_path):
-        """Peer-filled entries are ordinary cache citizens: filling past
-        the byte cap evicts cold entries instead of growing unbounded."""
+    def test_partial_stores_respect_lru_cap(self, tmp_path):
+        """Storing partials past the byte cap evicts cold entries instead
+        of growing unbounded."""
         disk = DiskCache(str(tmp_path), max_bytes=3500)
         for i in range(4):
             digest = str(i) * 64
-            disk.store_partial_tag(KEY, "none", digest, bytes(1000))
-            os.utime(disk.partial_path_tag(KEY, "none", digest), (i + 1, i + 1))
+            disk.store_partial(KEY, None, digest, bytes(1000))
+            os.utime(disk.partial_path(KEY, None, digest), (i + 1, i + 1))
         assert disk.size_bytes() <= 3500
         assert disk.stats.evictions >= 1
-        assert disk.load_partial_tag(KEY, "none", "0" * 64) is None  # coldest
-        assert disk.load_partial_tag(KEY, "none", "3" * 64) is not None
+        assert disk.load_partial(KEY, None, "0" * 64) is None  # coldest
+        assert disk.load_partial(KEY, None, "3" * 64) is not None

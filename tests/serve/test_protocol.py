@@ -9,6 +9,7 @@ import asyncio
 import base64
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -90,10 +91,13 @@ class TestOps:
         assert not resp["ok"] and resp["code"] == "bad-request"
 
     def test_unknown_op(self, server):
+        # "fetch" was the retired peer-fill op: it is now just unknown
         with ServeClient(server["sock"]) as client:
-            resp = client.request({"op": "frobnicate"})
-        assert not resp["ok"] and resp["code"] == "bad-request"
-        assert "frobnicate" in resp["error"]
+            for op in ("frobnicate", "fetch"):
+                resp = client.request({"op": op, "base": "b", "region": "none",
+                                       "digest": "d"})
+                assert not resp["ok"] and resp["code"] == "bad-request"
+                assert repr(op) in resp["error"]
 
     def test_malformed_line(self, server):
         sock = connect(server["sock"])
@@ -200,6 +204,37 @@ class TestPipelining:
 
 
 class TestClient:
+    def test_threads_sharing_one_client_each_get_their_reply(self, server):
+        """Requests on one connection are serialised per client: every
+        thread gets its own reply, none a timeout.  Two bursts of 8
+        threads, each released by a barrier."""
+        barrier = threading.Barrier(8)
+        replies = []
+
+        def submit(client, i):
+            barrier.wait()
+            replies.append((i, client.submit(f"m{i}", f"xdl {i}")))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServeClient(server["sock"], timeout=10.0) as client:
+                for burst in range(2):
+                    workers = [threading.Thread(target=submit,
+                                                args=(client, 8 * burst + i))
+                               for i in range(8)]
+                    for w in workers:
+                        w.start()
+                    for w in workers:
+                        w.join(timeout=30)
+                    assert not any(w.is_alive() for w in workers)
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(i for i, _ in replies) == list(range(16))
+        for i, resp in replies:
+            assert resp["ok"] and resp["name"] == f"m{i}"
+            assert decode_partial(resp) == f"data:m{i}".encode()
+
     def test_connect_failure_raises_unavailable(self, tmp_path):
         with pytest.raises(ServiceUnavailableError) as exc:
             ServeClient(str(tmp_path / "absent.sock"))
@@ -271,54 +306,6 @@ class TestTcpTransport:
     def test_connect_failure_raises_unavailable(self):
         with pytest.raises(ServiceUnavailableError):
             ServeClient("127.0.0.1:1")  # reserved port, nothing listens
-
-
-class FetchableService(FakeService):
-    """FakeService plus a peer-fill answer for one known key."""
-
-    def fetch_partial(self, base_key, tag, digest):
-        if (base_key, tag) == ("base", "t1"):
-            return b"cached-bytes"
-        return None
-
-
-class TestFetchOp:
-    @pytest.fixture()
-    def fetch_server(self, tmp_path):
-        service = FetchableService()
-        srv = JpgServer(service, max_queue=8, workers=2)
-        sock = str(tmp_path / "f.sock")
-        thread = threading.Thread(
-            target=lambda: asyncio.run(srv.serve_unix(sock)), daemon=True
-        )
-        thread.start()
-        connect(sock).close()
-        yield sock
-        try:
-            with ServeClient(sock) as c:
-                c.shutdown()
-        except ServiceUnavailableError:
-            pass
-        thread.join(timeout=10)
-
-    def test_fetch_hit_returns_bytes(self, fetch_server):
-        with ServeClient(fetch_server) as client:
-            assert client.fetch("base", "t1", "d") == b"cached-bytes"
-
-    def test_fetch_miss_returns_none(self, fetch_server):
-        with ServeClient(fetch_server) as client:
-            assert client.fetch("base", "other", "d") is None
-
-    def test_fetch_without_service_support_is_a_miss(self, server):
-        # FakeService has no fetch_partial: the op degrades to not-found
-        with ServeClient(server["sock"]) as client:
-            assert client.fetch("base", "t1", "d") is None
-
-    def test_fetch_validates_fields(self, fetch_server):
-        with ServeClient(fetch_server) as client:
-            resp = client.request({"op": "fetch", "base": "", "region": "t",
-                                   "digest": "d"})
-        assert not resp["ok"] and resp["code"] == "bad-request"
 
 
 class TestLifecycle:

@@ -38,7 +38,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Packages whose public API must be fully docstring-covered (pass 4).
-DOCSTRING_PACKAGES = ["src/repro/cluster", "src/repro/exec", "src/repro/serve"]
+DOCSTRING_PACKAGES = ["src/repro/exec", "src/repro/serve"]
 
 #: Minimum acceptable docstring coverage over the packages above.
 DOCSTRING_THRESHOLD = 1.0
