@@ -7,27 +7,21 @@ the batch engine (:mod:`repro.batch`) does each of those once and shares
 cleared-region frames through a content-keyed cache.
 
 Claims measured here:
-* batched output is **byte-identical** to 10 sequential runs — and
-  identical across every execution backend (serial, warm);
+* batched output is **byte-identical** to 10 sequential runs;
 * the frame cache hits for every repeated region footprint
   (7 hits / 3 misses over the 3x(3,3,4) manifest);
-* batching wins wall-clock over sequential generation;
-* on a multi-core machine the warm worker pool beats serial by >= 2x
-  (``-m bench``; report-only below 4 cores).  jpgbench
-  (``benchmarks/jpgbench``) is the repository's end-to-end benchmark;
-  this module only checks the paper's batching claims.
+* batching wins wall-clock over sequential generation.
+
+jpgbench (``benchmarks/jpgbench``) is the repository's end-to-end
+benchmark; this module only checks the paper's batching claims.
 
 ``pytest benchmarks/bench_batch.py --benchmark-only`` times both flows.
 """
 
-import os
 import time
-
-import pytest
 
 from repro.batch import BatchJpg, FrameCache, items_from_project
 from repro.core import Jpg
-from repro.exec import BACKEND_NAMES
 from repro.obs import Metrics
 from repro.ucf.parser import parse_ucf
 from repro.xdl.parser import parse_xdl
@@ -48,20 +42,15 @@ def generate_sequential(project):
     return out
 
 
-def generate_batched(project, *, backend="serial", max_workers=None):
+def generate_batched(project):
     engine = BatchJpg(
         project.part,
         project.base_bitfile,
         base_design=project.base_flow.design,
         cache=FrameCache(),
         metrics=Metrics(keep_events=False),
-        max_workers=max_workers,
-        backend=backend,
     )
-    try:
-        report = engine.run(items_from_project(project))
-    finally:
-        engine.close()
+    report = engine.run(items_from_project(project))
     assert report.ok, [r.error for r in report.failures]
     return report
 
@@ -69,7 +58,7 @@ def generate_batched(project, *, backend="serial", max_workers=None):
 class TestEquivalence:
     def test_batch_matches_sequential_bytes(self, fig4_project):
         """Every batched partial must be byte-identical to its sequential
-        twin — caching and concurrency change cost, never content."""
+        twin — caching changes cost, never content."""
         sequential = generate_sequential(fig4_project)
         report = generate_batched(fig4_project)
         batched = report.partials()
@@ -88,31 +77,11 @@ class TestEquivalence:
         assert stats.hit_rate > 0.5
         assert report.plan.expected_cache_hits == stats.hits
 
-    def test_batch_deterministic_across_worker_counts(self, fig4_project):
-        """A warm pool of one worker and one of two emit the same bytes."""
-        one = generate_batched(fig4_project, backend="warm", max_workers=1).partials()
-        many = generate_batched(fig4_project, backend="warm", max_workers=2).partials()
-        assert {k: v.data for k, v in one.items()} == {k: v.data for k, v in many.items()}
-
-    def test_backends_byte_identical(self, fig4_project):
-        """The backend axis never changes the bytes: serial and warm runs
-        of the manifest emit the same partials."""
-        outputs = {
-            backend: {
-                k: v.data
-                for k, v in generate_batched(
-                    fig4_project, backend=backend
-                ).partials().items()
-            }
-            for backend in BACKEND_NAMES
-        }
-        assert outputs["warm"] == outputs["serial"]
-
 
 class TestWallClock:
     def test_batch_beats_sequential(self, fig4_project):
         """Record the wall-clock win (shared base parse + full-stream
-        measurement + cached clears; workers only add on top)."""
+        measurement + cached clears)."""
         t0 = time.perf_counter()
         sequential = generate_sequential(fig4_project)
         t_seq = time.perf_counter() - t0
@@ -138,29 +107,3 @@ class TestWallClock:
             lambda: generate_batched(fig4_project), rounds=3, iterations=1
         )
         assert len(report.partials()) == 10
-
-
-@pytest.mark.bench
-class TestBackendWallClock:
-    """The claim behind ``--backend warm``: real CPU parallelism.
-
-    Deselected by default (``-m "not bench"``) because the assertion is
-    hardware-conditional: it is enforced on 4 or more cores only.
-    """
-
-    def test_warm_backend_speedup(self, fig4_project):
-        timings = {}
-        for backend in BACKEND_NAMES:
-            t0 = time.perf_counter()
-            generate_batched(fig4_project, backend=backend)
-            timings[backend] = time.perf_counter() - t0
-        for backend, t in sorted(timings.items(), key=lambda kv: kv[1]):
-            print(f"\n{backend}: {t:.3f} s")
-        cpus = os.cpu_count() or 1
-        if cpus >= 4:
-            assert timings["warm"] * 2 <= timings["serial"], (
-                f"warm backend should be >= 2x serial on {cpus} cores: "
-                f"{timings}"
-            )
-        else:
-            print(f"(report-only: {cpus} cpu(s) — nothing to parallelise into)")

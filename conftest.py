@@ -119,7 +119,7 @@ def pytest_addoption(parser):
 
 
 #: The marker expression ``addopts`` applies to tier-1 runs; a different
-#: one (``-m warmpool``, ``-m serve``) selects a subset and must not be
+#: one (``-m serve``, ``-m lint``) selects a subset and must not be
 #: held to full-suite coverage.
 _DEFAULT_MARKEXPR = "not slow and not bench"
 

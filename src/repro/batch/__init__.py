@@ -8,16 +8,15 @@ one planned batch:
 * :class:`~repro.batch.engine.BatchJpg` — the planner/executor: parses
   the base bitstream once, predicts shared work per region
   (:class:`~repro.batch.engine.BatchPlan`), and runs the per-module
-  replay/emit pipelines through an execution backend (inline by
-  default, or a warm worker-process pool), returning a
+  replay/emit pipelines inline, one after another, returning a
   :class:`~repro.batch.engine.BatchReport` with per-module timing/size
   rows and aggregated :mod:`repro.obs` metrics;
 * :class:`~repro.batch.cache.FrameCache` — a content-keyed cache of
   cleared-region frame states (base fingerprint + region footprint),
   invalidated automatically when the base bitstream changes.
 
-Outputs are byte-identical to sequential generation, whatever the backend
-or worker count.  The ``jpg batch`` CLI subcommand is the command-line front-end.
+Outputs are byte-identical to sequential generation.  The ``jpg batch``
+CLI subcommand is the command-line front-end.
 """
 
 from .cache import CacheStats, FrameCache, fingerprint

@@ -176,7 +176,6 @@ class FrameCache:
                     with self._lock:
                         self._misses += 1
                     metrics.count("framecache.miss")
-                    self._computed(base_key, region, value)
                 else:
                     with self._lock:
                         self._hits += 1
@@ -187,22 +186,6 @@ class FrameCache:
                     self._hits += 1
                 metrics.count("framecache.hit")
             return entry.value
-
-    def put(self, base_key: str, region: RegionRect, value: ClearedState) -> bool:
-        """Seed an entry computed elsewhere (a pool worker, a warm-up job)
-        without touching hit/miss accounting.  An already-populated entry
-        is kept — content keying makes both values identical — and False
-        is returned."""
-        key = (base_key, region_key(region))
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = self._entries[key] = _Entry()
-        with entry.lock:
-            if entry.value is None:
-                entry.value = value
-                return True
-            return False
 
     # -- spill hooks (overridden by persistent subclasses) --------------------
 
@@ -219,7 +202,3 @@ class FrameCache:
         around those, never around the compute itself).  In-memory caching
         needs no cross-process lock."""
         return contextlib.nullcontext()
-
-    def _computed(self, base_key: str, region: RegionRect, value: ClearedState) -> None:
-        """Hook: ``value`` was just computed (not fetched) here.  Pool
-        workers override this to ship fresh states back to the parent."""

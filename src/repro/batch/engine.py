@@ -16,19 +16,16 @@ factors both out:
   :class:`~repro.batch.cache.FrameCache` as the delta of the frames it
   changed, so K versions of one region pay for one clear;
 
-and runs the independent per-module replay/emit pipelines through a
-pluggable :mod:`execution backend <repro.exec>` — ``serial`` (the
-default: inline on the calling thread) or ``warm`` (a persistent pool of
-worker processes over a shared-memory base, the one that can use more
-cores).  Because every module generates against the same immutable base
-state, the emitted partials are **byte-identical** to sequential
-``make_partial`` calls, whatever the backend or worker count, and
-results come back in manifest order.
+and runs the independent per-module replay/emit pipelines inline, one
+after another, on the calling thread.  Because every module generates
+against the same immutable base state, the emitted partials are
+**byte-identical** to sequential ``make_partial`` calls, and results
+come back in manifest order.
 
 One :class:`~repro.obs.Metrics` registry aggregates stage timings,
-counters, and cache hit/miss stats across the run (warm-pool workers
-ship snapshots home to it); :meth:`BatchReport.table` renders the
-per-module summary the ``jpg batch`` CLI prints.
+counters, and cache hit/miss stats across the run;
+:meth:`BatchReport.table` renders the per-module summary the ``jpg
+batch`` CLI prints.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from ..bitstream.frames import FrameMemory
 from ..core.jpg import Jpg, JpgOptions, PartialResult
 from ..devices import get_device
 from ..errors import ReproError
-from ..exec.backend import POOLED_BACKENDS, Backend, get_backend
 from ..flow.floorplan import RegionRect
 from ..flow.ncd import NcdDesign
 from ..jbits.api import JBits, decoded_base
@@ -178,48 +174,28 @@ class BatchJpg:
         cache: FrameCache | None = None,
         metrics: Metrics | None = None,
         max_workers: int | None = None,
-        backend: str | Backend = "serial",
-        full_size: int | None = None,
     ):
-        """``backend`` picks the execution strategy (``"serial"`` /
-        ``"warm"`` or a :class:`~repro.exec.Backend` instance);
-        ``max_workers`` sizes the pool of a pooled backend named here.  A
-        :class:`~repro.exec.Backend` instance keeps its own size, and
-        ``serial`` accepts and ignores ``max_workers``.
-        ``full_size`` (with a :class:`FrameMemory` base) skips both the
-        base re-parse *and* the defensive clone — the zero-copy path pool
-        workers use over a shared, read-only base."""
+        """``max_workers`` is accepted and ignored: items always run
+        inline, one after another.  It remains only so existing callers
+        that pass it keep working."""
         self.part = part
         self.base_design = base_design
         self.cache = cache if cache is not None else FrameCache()
         # aggregates only: kept events grow by one per stage for the engine's life
         self.metrics = metrics if metrics is not None else Metrics(keep_events=False)
-        pooled = backend in POOLED_BACKENDS   # a Backend instance never is
-        self.backend = get_backend(backend, max_workers if pooled else None)
-        if isinstance(base_bitstream, FrameMemory) and full_size is not None:
-            if base_bitstream.device != get_device(part):
-                raise ReproError(
-                    f"frame memory is for {base_bitstream.device.name}, "
-                    f"engine is for {part}"
-                )
-            # trusted fast path: the caller vouches the memory is the base
-            # and will not mutate it (per-item Jpgs clone before writing)
-            self._base_frames = base_bitstream
-            self._full_size = full_size
-        else:
-            device = get_device(part)
-            with use_metrics(self.metrics), \
-                    self.metrics.stage("batch.load_base", part=part):
-                if isinstance(base_bitstream, FrameMemory):
-                    # a private copy: the caller may still write to theirs
-                    jb = JBits(device)
-                    jb.read(base_bitstream)
-                    assert jb.frames is not None
-                    self._base_frames = jb.frames
-                else:
-                    # the shared read-only decode itself, not a copy of it
-                    self._base_frames = decoded_base(device, base_bitstream)
-            self._full_size = full_stream_size(device)
+        device = get_device(part)
+        with use_metrics(self.metrics), \
+                self.metrics.stage("batch.load_base", part=part):
+            if isinstance(base_bitstream, FrameMemory):
+                # a private copy: the caller may still write to theirs
+                jb = JBits(device)
+                jb.read(base_bitstream)
+                assert jb.frames is not None
+                self._base_frames = jb.frames
+            else:
+                # the shared read-only decode itself, not a copy of it
+                self._base_frames = decoded_base(device, base_bitstream)
+        self._full_size = full_stream_size(device)
         # the frame-cache key of the base, hashed once for every item
         self._base_key = self.cache.base_key(self._base_frames)
 
@@ -275,34 +251,20 @@ class BatchJpg:
         """Generate every item's partial; results come back in input order.
 
         Per-item :class:`~repro.errors.ReproError` failures are recorded on
-        the item's result instead of aborting the batch; a failure of the
-        execution backend itself (e.g. a dead pool worker) raises
-        :class:`~repro.errors.ExecError` and aborts the whole run.
+        the item's result instead of aborting the batch.
         """
         plan = self.plan(items)
         start = time.perf_counter()
-        with use_metrics(self.metrics):
-            results = self.backend.run(self, items)
+        results = [self.generate_one(item) for item in items]
         seconds = time.perf_counter() - start
         return BatchReport(
             results=results,
             seconds=seconds,
             plan=plan,
             metrics=self.metrics,
-            cache_stats=self.backend.cache_stats(self),
+            cache_stats=self.cache.stats,
             full_size=self._full_size,
         )
-
-    def run_one(self, item: BatchItem) -> BatchItemResult:
-        """Generate one item through this engine's backend (the long-lived
-        generation service's request path)."""
-        with use_metrics(self.metrics):
-            return self.backend.run_one(self, item)
-
-    def close(self) -> None:
-        """Release backend resources (the warm pool's workers and shared
-        memory).  Idempotent; the serial backend holds nothing."""
-        self.backend.close()
 
     # -- deployment ---------------------------------------------------------
 
@@ -340,7 +302,7 @@ class BatchJpg:
     def generate_one(self, item: BatchItem) -> BatchItemResult:
         """Generate one item's partial against the shared base state.
 
-        This is the unit of work :meth:`run` fans out, exposed so long-lived
+        This is the unit of work :meth:`run` loops over, exposed so long-lived
         callers (the generation service) can drive single requests through
         the same shared-base/shared-cache path without building a manifest.
         Thread-safe; per-item failures come back on the result's ``error``.

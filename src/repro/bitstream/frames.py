@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import utils
-from ..devices import Device, get_device
+from ..devices import Device
 from ..devices.geometry import BITS_PER_ROW, IobSite
 from ..devices.resources import BitCoord, Field
 from ..errors import BitstreamError, DeviceError
@@ -49,11 +49,10 @@ class FrameDelta:
     ``frames`` holds the edited frames' linear indices, strictly
     increasing; ``rows`` holds those frames' words (one row each).
     Writing ``rows`` into ``frames`` of a memory equal to the one the edit
-    started from redoes the edit.  A cleared region is cached, spilled to
-    disk and shipped home from pool workers in this form
-    (:data:`repro.batch.cache.ClearedState`): the twelve clears of an
-    XCV1000 batch change 584 frames, 91 KB of rows, where whole-device
-    copies took 9.2 MB.
+    started from redoes the edit.  A cleared region is cached and spilled
+    to disk in this form (:data:`repro.batch.cache.ClearedState`): the
+    twelve clears of an XCV1000 batch change 584 frames, 91 KB of rows,
+    where whole-device copies took 9.2 MB.
 
     The constructor takes ownership of the two arrays and makes them
     read-only, so one delta can be shared by every reader; it raises
@@ -108,17 +107,8 @@ class FrameDelta:
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __reduce__(self):
-        # by part name: a Device is rebuilt from the registry, not pickled
-        return _delta_on_part, (self.device.name, self.frames, self.rows)
-
     def __repr__(self) -> str:
         return f"FrameDelta({self.device.name}, {len(self)} frames, {self.nbytes} B)"
-
-
-def _delta_on_part(part: str, frames: np.ndarray, rows: np.ndarray) -> FrameDelta:
-    """Unpickle a :class:`FrameDelta` (see its ``__reduce__``)."""
-    return FrameDelta(get_device(part), frames, rows)
 
 
 class FrameMemory:

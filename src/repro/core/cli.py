@@ -46,7 +46,6 @@ from ..bitstream.reader import parse_bitstream
 from ..devices import get_device, part_names
 from ..errors import (
     BitfileError,
-    ExecError,
     QueueFullError,
     ReproError,
     ServiceUnavailableError,
@@ -83,27 +82,6 @@ def _parse_region(text: str, what: str) -> RegionRect:
         return RegionRect.from_ucf(text)
     except ReproError as exc:
         raise UsageError(f"{what} {text!r}: {exc}") from None
-
-
-def _resolve_backend(args):
-    """Turn the backend flags into a ``BatchJpg``/service backend argument.
-
-    ``--pool-size N`` pins the pool's worker count, taking precedence
-    over ``JPG_WORKERS`` and the CPU-count default (it constructs the
-    backend instance explicitly, so the sizing policy in
-    ``default_workers`` never runs).
-    """
-    pool_size = getattr(args, "pool_size", None)
-    if pool_size is None:
-        return args.backend
-    if pool_size < 1:
-        raise UsageError(f"--pool-size must be >= 1, got {pool_size}")
-    from ..exec import get_backend
-
-    try:
-        return get_backend(args.backend, pool_size)
-    except ExecError as exc:
-        raise UsageError(f"--pool-size: {exc}") from None
 
 
 def _cmd_info(args) -> int:
@@ -210,17 +188,13 @@ def _cmd_batch(args) -> int:
         )
         items.append(BatchItem(name, xdl, region=region, ucf=ucf, options=options))
 
-    engine = BatchJpg(args.part, base, base_design=base_design,
-                      backend=_resolve_backend(args))
+    engine = BatchJpg(args.part, base, base_design=base_design)
     plan = engine.plan(items)
     print(
         f"batch: {plan.total} module(s) in {len(plan.groups)} region group(s), "
         f"{plan.expected_cache_hits} shared clear(s) expected"
     )
-    try:
-        report = engine.run(items)
-    finally:
-        engine.close()
+    report = engine.run(items)
     print(report.table())
     print(report.summary())
     if args.output_dir:
@@ -497,7 +471,6 @@ def _cmd_serve(args) -> int:
         lint=args.lint,
         sanctioned=([_parse_region(s, "--sanction") for s in args.sanction]
                     if args.sanction else None),
-        backend=_resolve_backend(args),
     )
     server = JpgServer(service, max_queue=args.max_queue, workers=args.workers)
 
@@ -696,8 +669,6 @@ def _cmd_parbit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from ..exec import BACKEND_NAMES
-
     parser = argparse.ArgumentParser(
         prog="jpg",
         description="JPG: partial bitstream generation for Virtex-class devices "
@@ -734,14 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help='JSON manifest: {"modules": [{"name", "xdl", "ucf", "region"}, ...]} '
                         "(paths relative to the manifest file)")
     p.add_argument("-o", "--output-dir", help="save each partial as NAME.bit here")
-    p.add_argument("--backend", choices=BACKEND_NAMES, default="serial",
-                   help="execution backend: serial (inline on one thread; "
-                        "the default), warm (persistent worker-process pool; "
-                        "base shared zero-copy, replies through a shared "
-                        "output arena)")
-    p.add_argument("--pool-size", type=int, metavar="N",
-                   help="warm-pool worker count (overrides JPG_WORKERS and "
-                        "the CPU-count default)")
     p.add_argument("--granularity", choices=["column", "frame"], default="column")
     p.add_argument("--no-checks", action="store_true", help="skip region containment checks")
     p.add_argument("--metrics", action="store_true",
@@ -857,15 +820,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int,
                    help="concurrent generations (default: auto — JPG_WORKERS, "
                         "then CPU count)")
-    p.add_argument("--backend", choices=BACKEND_NAMES, default="serial",
-                   help="execution backend for generations: serial (inline "
-                        "on the --workers threads; the default), warm (a "
-                        "worker-process pool over a shared-memory base, kept "
-                        "hot across requests, replies through a shared output "
-                        "arena)")
-    p.add_argument("--pool-size", type=int, metavar="N",
-                   help="warm-pool worker count (overrides JPG_WORKERS and "
-                        "the CPU-count default)")
     p.add_argument("--deploy-sim", action="store_true",
                    help="deploy each served partial onto a simulated board")
     p.add_argument("--lint", action="store_true",

@@ -273,7 +273,7 @@ class Jpg:
 
         with current_metrics().stage("jpg.parse_xdl"):
             # content-hash memoized: repeated regenerations of one module
-            # (serve requests, pool workers) parse once per process
+            # (repeated serve requests and batches) parse once per process
             return parse_xdl_cached(module)
 
     def _region_from_ucf(self, design: NcdDesign, ucf: UcfFile | None) -> RegionRect | None:

@@ -107,15 +107,6 @@ class UsageError(ReproError):
     can tell "you asked wrong" from "the operation failed"."""
 
 
-class ExecError(ReproError):
-    """Execution-backend failure (pool setup, shared memory, dead worker).
-
-    Raised when the backend itself breaks — e.g. a worker process dies
-    mid-batch — as opposed to a per-item generation error, which lands on
-    that item's :class:`~repro.batch.engine.BatchItemResult`.  A broken
-    pool aborts the whole run loudly; there are no silent partial results."""
-
-
 class ServeError(ReproError):
     """Generation-service error (scheduler, disk cache, protocol)."""
 

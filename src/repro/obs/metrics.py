@@ -156,29 +156,8 @@ class ReservoirHistogram:
         return {f"p{round(100 * q) if q < 1 else 100}": self.quantile(q) for q in qs}
 
     def samples(self) -> list[float]:
-        """A copy of the current reservoir (for snapshots and merging)."""
+        """A copy of the current reservoir (for snapshots)."""
         return list(self._samples)
-
-    def absorb(self, count: int, samples: Iterable[float], *,
-               total: float | None = None, min_value: float | None = None,
-               max_value: float | None = None) -> None:
-        """Fold another reservoir's snapshot into this one.
-
-        The exact aggregates (``count``/``total``/``min``/``max``) add
-        exactly when the caller passes them; the merged reservoir is a
-        seeded uniform downsample of both sample sets — an approximation
-        of the pooled distribution, the accepted trade for bounded memory.
-        """
-        incoming = list(samples)
-        self.count += count
-        self.total += sum(incoming) if total is None else total
-        for value in incoming if min_value is None else (min_value, max_value):
-            self.min = value if value < self.min else self.min
-            self.max = value if value > self.max else self.max
-        pool = self._samples + incoming
-        if len(pool) > self.capacity:
-            pool = self._rng.sample(pool, self.capacity)
-        self._samples = pool
 
 
 class Metrics:
@@ -270,42 +249,6 @@ class Metrics:
         finally:
             self.record(name, time.perf_counter() - start, **detail)
 
-    # -- aggregation ----------------------------------------------------------
-
-    def merge(self, snapshot: Mapping[str, object]) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        Counters add; timers combine count/total/min/max (mean follows);
-        gauges combine extremes, keep the snapshot's last value, and add
-        update counts.  This is how the warm backend folds per-worker
-        registries into the parent's, so one report covers a whole pool.
-        Events do not travel in snapshots and are not merged.
-        """
-        counters = snapshot.get("counters", {})
-        timers = snapshot.get("timers", {})
-        gauges = snapshot.get("gauges", {})
-        histograms = snapshot.get("histograms", {})
-        with self._lock:
-            for name, n in counters.items():
-                self.counters[name] = self.counters.get(name, 0) + n
-            for name, t in timers.items():
-                mine = _slot(self.timers, name, TimerStats)
-                mine.count += t["count"]
-                mine.total += t["total"]
-                mine.min = min(mine.min, t["min"])
-                mine.max = max(mine.max, t["max"])
-            for name, g in gauges.items():
-                mine = _slot(self.gauges, name, GaugeStats)
-                mine.last = g["last"]
-                mine.min = min(mine.min, g["min"])
-                mine.max = max(mine.max, g["max"])
-                mine.updates += g["updates"]
-            for name, h in histograms.items():
-                mine = _slot(self.histograms, name, ReservoirHistogram)
-                mine.absorb(h["count"], h.get("samples", ()),
-                            total=h.get("total"), min_value=h.get("min"),
-                            max_value=h.get("max"))
-
     # -- reporting -----------------------------------------------------------
 
     def snapshot(self) -> dict[str, object]:
@@ -367,9 +310,6 @@ class NullMetrics(Metrics):
         pass
 
     def record(self, stage: str, seconds: float, **detail: object) -> None:
-        pass
-
-    def merge(self, snapshot: Mapping[str, object]) -> None:
         pass
 
     @contextlib.contextmanager

@@ -182,7 +182,6 @@ class JpgServer:
             server.close()
             await server.wait_closed()
             await self.scheduler.aclose()
-            self._close_service()
             if cleanup is not None:
                 cleanup()
 
@@ -199,14 +198,6 @@ class JpgServer:
         writer = asyncio.StreamWriter(w_transport, w_protocol, reader, loop)
         await self._handle(reader, writer)
         await self.scheduler.aclose()
-        self._close_service()
-
-    def _close_service(self) -> None:
-        """Release the service's execution backend on shutdown (tolerates
-        service doubles that do not implement close)."""
-        close = getattr(self.service, "close", None)
-        if close is not None:
-            close()
 
     # -- connection handling --------------------------------------------------
 
@@ -345,8 +336,13 @@ class ServeClient:
                 self._sock = socket.create_connection(parsed, timeout=timeout)
             else:
                 self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                self._sock.settimeout(timeout)
-                self._sock.connect(parsed)
+                try:
+                    self._sock.settimeout(timeout)
+                    self._sock.connect(parsed)
+                except OSError:
+                    # create_connection closes its own socket on failure
+                    self._sock.close()
+                    raise
         except OSError as exc:
             raise ServiceUnavailableError(
                 f"cannot reach jpg serve at {self.address}: {exc}"

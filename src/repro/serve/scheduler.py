@@ -31,12 +31,37 @@ gauge, ``serve.wait`` / ``serve.generate`` timers, ``serve.accepted`` /
 from __future__ import annotations
 
 import asyncio
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from ..errors import QueueFullError
-from ..exec import default_workers
+from ..errors import QueueFullError, ServeError
 from .service import GenerationService, GenRequest, ServeResult
+
+#: Worker cap when sizing from the CPU count (a generation pipeline stops
+#: scaling well before the core counts of large hosts).
+MAX_DEFAULT_WORKERS = 8
+
+
+def default_workers() -> int:
+    """How many generation threads a scheduler gets, absent an explicit
+    count.
+
+    Priority: the ``JPG_WORKERS`` environment variable, then the CPU count
+    capped at :data:`MAX_DEFAULT_WORKERS`; the result is always >= 1.  A
+    malformed ``JPG_WORKERS`` raises :class:`~repro.errors.ServeError`.
+    """
+    env = os.environ.get("JPG_WORKERS")
+    if env:
+        try:
+            n = int(env)
+        except ValueError:
+            raise ServeError(f"JPG_WORKERS must be an integer, got {env!r}") from None
+        if n < 1:
+            raise ServeError(f"JPG_WORKERS must be >= 1, got {n}")
+    else:
+        n = min(os.cpu_count() or 1, MAX_DEFAULT_WORKERS)
+    return max(1, n)
 
 
 class Scheduler:
@@ -44,14 +69,9 @@ class Scheduler:
 
     All methods must be called from one running event loop (the server's);
     the blocking generation work happens on the internal thread pool.
-    ``workers=None`` sizes that pool from the service's execution backend
-    when it owns a pool of known size (``backend.planned_workers()`` — so
-    a warm pool gets exactly one shepherd thread per pool worker), falling
-    back to :func:`repro.exec.default_workers` (``JPG_WORKERS``, then CPU
-    count) — the same policy the warm pool uses.  On the serial backend
-    these threads run generations themselves; on a warm backend they only
-    shepherd requests into the worker pool.  The event loop itself stays
-    single-threaded either way.
+    ``workers=None`` sizes that pool with :func:`default_workers`
+    (``JPG_WORKERS``, then CPU count).  These threads run generations
+    themselves; the event loop itself stays single-threaded.
     """
 
     def __init__(
@@ -64,7 +84,7 @@ class Scheduler:
         if max_queue < 1:
             raise QueueFullError(f"max_queue must be >= 1, got {max_queue}")
         if workers is None:
-            workers = service.engine.backend.planned_workers() or default_workers()
+            workers = default_workers()
         self.service = service
         self.metrics = service.metrics
         self.max_queue = max_queue

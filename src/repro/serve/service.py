@@ -34,7 +34,6 @@ from ..bitstream.frames import FrameMemory
 from ..core.jpg import JpgOptions
 from ..core.partial import Granularity
 from ..errors import UsageError
-from ..exec.backend import Backend
 from ..flow.floorplan import RegionRect
 from ..flow.ncd import NcdDesign
 from ..obs import Metrics, use_metrics
@@ -154,12 +153,9 @@ class GenerationService:
         retry: RetryPolicy | None = None,
         lint: bool = False,
         sanctioned: list[RegionRect] | None = None,
-        backend: str | Backend = "serial",
     ):
-        """``backend`` picks how generations execute (see
-        :mod:`repro.exec`): ``"serial"`` (the default) runs them inline
-        on the scheduler's threads, ``"warm"`` fans them out to a persistent
-        pool of worker processes over a shared-memory base.  ``sanctioned``
+        """Generations run inline on the caller's thread (the
+        scheduler's threads, under ``jpg serve``).  ``sanctioned``
         (with ``lint``) arms the gate's tamper rules: served partials
         must stay inside the policy regions and must not edit routing
         relative to the service's own base configuration."""
@@ -175,7 +171,6 @@ class GenerationService:
                 base_design=base_design,
                 cache=cache,
                 metrics=self.metrics,
-                backend=backend,
             )
         self.part = part
         self.base_design = base_design
@@ -236,7 +231,7 @@ class GenerationService:
                     return result
             item = request.to_item(check_interface=self.base_design is not None)
             with self.metrics.stage("serve.generate", module=request.name):
-                item_result = self.engine.run_one(item)
+                item_result = self.engine.generate_one(item)
             if not item_result.ok:
                 self.metrics.count("serve.failures")
                 return ServeResult(
@@ -313,9 +308,8 @@ class GenerationService:
         self.metrics.count("serve.deploys")
 
     def close(self) -> None:
-        """Release the engine's execution backend (the warm pool's workers
-        and shared memory).  Idempotent; a serial service holds nothing."""
-        self.engine.close()
+        """Release the service.  It holds nothing that needs releasing, so
+        this does nothing and may be called any number of times."""
 
     def stats(self) -> dict:
         """A JSON-ready snapshot for the ``stats`` protocol op."""
@@ -328,8 +322,7 @@ class GenerationService:
             "frame_cache": {"hits": cs.hits, "misses": cs.misses},
             "counters": {
                 k: v for k, v in sorted(snap["counters"].items())
-                if k.startswith(("serve.", "framecache.", "batch.", "analyze.",
-                                 "exec."))
+                if k.startswith(("serve.", "framecache.", "batch.", "analyze."))
             },
             "gauges": snap["gauges"],
             "latency": {

@@ -94,10 +94,9 @@ def scale_plan(part: str = "XCV1000", *, regions: int = 12, variants: int = 9,
     """A large-device stress plan: ``regions`` slabs x ``variants`` module
     versions each (default 12 x 9 = 108 partials on an XCV1000).
 
-    This is the workload axis where parallel backends have room to pay:
-    enough independent partials to amortize pool start-up, on a geometry
-    (64 x 96 CLBs) whose frame count makes each generation meaningfully
-    expensive.  Regions alternate between counter variants (``up``,
+    This is the large-batch workload axis: many independent partials on
+    a geometry (64 x 96 CLBs) whose frame count makes each generation
+    meaningfully expensive.  Regions alternate between counter variants (``up``,
     ``down``, ``step2``...) and bit-serial matcher patterns so adjacent
     slabs never share module internals.
     """

@@ -4,7 +4,6 @@ import pytest
 
 from repro.batch import BatchItem, BatchJpg, FrameCache, fingerprint, items_from_project
 from repro.core import Jpg, JpgOptions
-from repro.exec import SerialBackend
 from repro.obs import Metrics
 from repro.ucf import parse_ucf
 from repro.xdl import parse_xdl
@@ -67,9 +66,6 @@ class TestManifest:
 
 
 class TestRun:
-    def test_default_backend_is_serial(self, engine):
-        assert isinstance(engine.backend, SerialBackend)
-
     def test_byte_identical_to_sequential(self, demo_project, engine):
         expected = sequential_partials(demo_project)
         report = engine.run(items_from_project(demo_project))
@@ -87,21 +83,19 @@ class TestRun:
         assert [r.item.name for r in report.results] == [i.name for i in items]
 
     def test_deterministic_across_worker_counts(self, demo_project, engine):
-        """A warm pool of one or two workers emits the serial bytes."""
+        """``max_workers`` is accepted and ignored: any count emits the
+        same bytes as the default engine."""
         items = items_from_project(demo_project)
 
         def run(e):
-            try:
-                return {k: v.data for k, v in e.run(items).partials().items()}
-            finally:
-                e.close()
+            return {k: v.data for k, v in e.run(items).partials().items()}
 
-        serial = run(engine)
+        expected = run(engine)
         for workers in (1, 2):
-            warm = BatchJpg(demo_project.part, demo_project.base_bitfile,
-                            base_design=demo_project.base_flow.design,
-                            backend="warm", max_workers=workers)
-            assert run(warm) == serial, workers
+            other = BatchJpg(demo_project.part, demo_project.base_bitfile,
+                             base_design=demo_project.base_flow.design,
+                             max_workers=workers)
+            assert run(other) == expected, workers
 
     def test_cache_shared_across_items(self, demo_project, engine):
         report = engine.run(items_from_project(demo_project))

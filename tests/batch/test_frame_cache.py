@@ -222,28 +222,3 @@ class TestBaseKey:
         merged = fingerprint(jpg.frames)
         jpg.make_partial(demo_project.versions[("r1", "up")].design, region=region)
         assert cache.invalidate(merged) == 1
-
-
-class TestPut:
-    """put(): seeding entries from process-backend deltas, outside stats."""
-
-    def test_put_seeds_a_lookup_free_entry(self, device, region):
-        cache = FrameCache()
-        cleared = _delta(device, [3])
-        assert cache.put("base", region, cleared) is True
-        assert len(cache) == 1
-        assert cache.stats.lookups == 0, "seeding must not count as traffic"
-        # a later cleared() against the seeded key is a plain hit
-        out = cache.cleared("base", region, lambda: pytest.fail("factory ran"))
-        assert out is cleared
-        assert cache.stats.hits == 1 and cache.stats.misses == 0
-
-    def test_put_never_overwrites(self, device, region):
-        cache = FrameCache()
-        first = _delta(device)
-        cache.cleared("base", region, lambda: first)
-        second = FrameMemory(device)
-        second.set_bit(0, 0, 1)
-        assert cache.put("base", region, FrameDelta.capture(second, [0])) is False
-        out = cache.cleared("base", region, lambda: pytest.fail("factory ran"))
-        assert out is first

@@ -1,11 +1,12 @@
-"""Frame memory tests: bit/field/PIP access, masks, diff, bulk decode."""
+"""Frame memory tests: bit/field/PIP access, masks, diff, bulk decode,
+frame deltas."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitstream.frames import FrameMemory, frame_runs
+from repro.bitstream.frames import FrameDelta, FrameMemory, frame_runs
 from repro.devices import get_device
 from repro.devices.geometry import IobSite, Side
 from repro.devices.resources import SLICE, BitCoord
@@ -277,3 +278,58 @@ class TestClearBitRange:
         # no bit outside the tile's column/row window may change
         diff = np.flatnonzero((fm.data != before.data).any(axis=1))
         assert set(diff) <= set(range(base, base + 48))
+
+
+def _random_frames(seed: int) -> FrameMemory:
+    fm = FrameMemory(get_device("XCV50"))
+    rng = np.random.default_rng(seed)
+    fm.data[:] = rng.integers(0, 2**32, size=fm.data.shape,
+                              dtype=np.uint64).astype(np.uint32) & fm._payload_mask[None, :]
+    return fm
+
+
+class TestFrameDelta:
+    """The form a cleared region is cached and spilled to disk in."""
+
+    def test_roundtrip(self):
+        base = _random_frames(6)
+        other = base.clone()
+        other.data[5, 2] ^= 0x80000000
+        other.data[300] = 0
+        delta = FrameDelta.capture(other, [300, 5])
+        assert delta.frames.tolist() == [5, 300]
+        assert delta.nbytes == 2 * base.data.shape[1] * 4 + 2 * 8
+        assert not delta.rows.flags.writeable
+        rebuilt = base.clone()
+        rebuilt.data[delta.frames] = delta.rows
+        assert rebuilt == other
+
+    def test_empty_delta(self):
+        base = _random_frames(7)
+        delta = FrameDelta.capture(base, [])
+        assert len(delta) == 0 and delta.nbytes == 0
+        assert delta.rows.shape == (0, base.data.shape[1])
+        rebuilt = base.clone()
+        rebuilt.data[delta.frames] = delta.rows
+        assert rebuilt == base
+
+    def test_delta_is_much_smaller_than_the_memory(self):
+        """The reason deltas exist: a cleared region touches a sliver of
+        the device, and only that sliver should be cached."""
+        base = _random_frames(8)
+        other = base.clone()
+        other.data[10:58] = 0  # one CLB column's 48 frames
+        delta = FrameDelta.capture(other, range(10, 58))
+        assert delta.nbytes <= base.data.nbytes // 10
+
+    def test_applies_against_read_only_base(self):
+        base = _random_frames(9)
+        other = base.clone()
+        other.data[0, 0] ^= 1
+        delta = FrameDelta.capture(other, [0])
+        base.data.setflags(write=False)
+        rebuilt = base.clone()
+        rebuilt.data[delta.frames] = delta.rows
+        assert rebuilt == other
+        with pytest.raises(ValueError):
+            delta.rows[0, 0] = 0

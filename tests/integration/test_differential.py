@@ -4,9 +4,8 @@ Three generators that share no code path above the frame layer must agree
 on the final device state:
 
 * **BatchJpg** (shared base, frame cache) emitting a partial that is then
-  applied to a clone of the base configuration — on *every* execution
-  backend: serial, thread, and warm (the conformance matrix that keeps
-  the warm pool honest);
+  applied to a clone of the base configuration, on a first run and on a
+  second run over the same engine;
 * the sequential **Jpg** single-shot path (`make_partial`), whose partial
   must be byte-identical to BatchJpg's;
 * **JBitsDiff** core extraction/replay (`repro.baselines.jbitsdiff`),
@@ -14,9 +13,7 @@ on the final device state:
   configuration stream.
 
 Any divergence fails with a frame-level dump (frame index, major.minor
-address, column kind) so the first differing frame is attributable.  A
-dying pool worker must abort the whole batch with an ExecError — never
-hand back a report missing items.
+address, column kind) so the first differing frame is attributable.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from repro.batch import BatchItem, BatchJpg
 from repro.bitstream.frames import FrameMemory, frame_runs
 from repro.bitstream.reader import apply_bitstream, parse_bitstream
 from repro.core.jpg import Jpg
-from repro.exec import BACKEND_NAMES
 from repro.jbits import JBits
 
 from ..conftest import FAMILY_PARTS, family_project, random_family_project
@@ -126,53 +122,37 @@ class TestBatchVsSequential:
         )
 
 
-class TestBackendConformance:
-    """Every execution backend must emit the sequential path's exact bytes."""
+class TestEngineConformance:
+    """The batch engine emits the sequential path's exact bytes, run after
+    run."""
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_backend_partials_byte_identical(self, demo_project,
-                                             sequential_partials, backend):
-        """Both a first run and a second run on the same engine (pool hot,
-        caches seeded) emit the sequential partials."""
-        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend,
-                          max_workers=2)
-        try:
-            reports = [engine.run(_items(demo_project))
-                       for _ in ("first", "second")]
-        finally:
-            engine.close()
+    def test_partials_byte_identical_across_runs(self, demo_project,
+                                                 sequential_partials):
+        """Both a first run and a second run on the same engine (caches
+        seeded) emit the sequential partials."""
+        engine = BatchJpg("XCV50", demo_project.base_bitfile)
+        reports = [engine.run(_items(demo_project)) for _ in ("first", "second")]
         for run, report in zip(("first", "second"), reports):
             assert report.ok, [f.error for f in report.failures]
             partials = report.partials()
             assert set(partials) == set(sequential_partials)
             for name, reference in sequential_partials.items():
                 assert partials[name].data == reference, (
-                    f"{backend} ({run} run): {name} diverges from the "
-                    f"sequential partial ({len(partials[name].data)} vs "
-                    f"{len(reference)} bytes)"
+                    f"{run} run: {name} diverges from the sequential partial "
+                    f"({len(partials[name].data)} vs {len(reference)} bytes)"
                 )
         # shared-clear accounting on the first run: every item cleared its
-        # region exactly once (lookups == items).  The serial backend keeps
-        # one cache, so misses == regions; warm-pool workers each keep their
-        # own cache, so misses depend on how the pool distributed the items —
-        # bounded by regions below and lookups above, never more.
+        # region exactly once, one miss per region and a hit for the rest
         cs = reports[0].cache_stats
         assert cs.lookups == len(VERSIONS)
-        if backend == "warm":
-            assert 2 <= cs.misses <= len(VERSIONS)
-        else:
-            assert cs.misses == 2 and cs.hits == 2
+        assert cs.misses == 2 and cs.hits == 2
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_applied_state_matches_base_plus_module(self, demo_project,
-                                                    base_frames, backend):
-        """Applying a backend's partial on the base reproduces the merged
+                                                    base_frames):
+        """Applying the engine's partial on the base reproduces the merged
         configuration, frame for frame."""
-        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend=backend)
-        try:
-            report = engine.run(_items(demo_project))
-        finally:
-            engine.close()
+        engine = BatchJpg("XCV50", demo_project.base_bitfile)
+        report = engine.run(_items(demo_project))
         mv = demo_project.versions[("r1", "down")]
         applied = base_frames.clone()
         apply_bitstream(applied, report.partials()["r1/down"].data)
@@ -181,31 +161,9 @@ class TestBackendConformance:
         after, _ = parse_bitstream(demo_project.device, jpg.full_bitstream())
         assert_frame_identical(
             applied, after,
-            label_a=f"base+{backend} partial",
+            label_a="base+batch partial",
             label_b="Jpg merged full configuration",
         )
-
-    def test_worker_crash_fails_the_whole_batch(self, demo_project, monkeypatch):
-        """A worker process that keeps dying aborts the run with ExecError;
-        the engine never returns a report with silently missing items."""
-        from repro.errors import ExecError
-
-        monkeypatch.setenv("JPG_EXEC_CRASH", "r2/left")
-        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend="warm")
-        try:
-            with pytest.raises(ExecError, match="lost a worker"):
-                engine.run(_items(demo_project))
-        finally:
-            engine.close()
-            monkeypatch.delenv("JPG_EXEC_CRASH", raising=False)
-        # the backend recovers once the fault is gone: a fresh pool serves
-        # the same manifest to completion
-        engine = BatchJpg("XCV50", demo_project.base_bitfile, backend="warm")
-        try:
-            report = engine.run(_items(demo_project))
-        finally:
-            engine.close()
-        assert report.ok and len(report.results) == len(VERSIONS)
 
 
 class TestBatchVsJBitsDiff:

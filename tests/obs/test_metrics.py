@@ -146,70 +146,6 @@ class TestPipelineInstrumentation:
         assert NULL_METRICS.events == []
 
 
-class TestMerge:
-    """Metrics.merge: folding worker snapshots into the parent registry."""
-
-    def test_counters_add(self):
-        parent, worker = Metrics(), Metrics()
-        parent.count("jpg.partials", 2)
-        worker.count("jpg.partials", 3)
-        worker.count("framecache.miss")
-        parent.merge(worker.snapshot())
-        assert parent.counter("jpg.partials") == 5
-        assert parent.counter("framecache.miss") == 1
-
-    def test_timers_combine_count_total_extremes(self):
-        parent, worker = Metrics(), Metrics()
-        parent.record("jpg.emit", 0.2)
-        worker.record("jpg.emit", 0.1)
-        worker.record("jpg.emit", 0.5)
-        worker.record("assemble.partial_stream", 0.05)
-        parent.merge(worker.snapshot())
-        t = parent.timers["jpg.emit"]
-        assert t.count == 3
-        assert t.total == pytest.approx(0.8)
-        assert t.min == pytest.approx(0.1)
-        assert t.max == pytest.approx(0.5)
-        assert t.mean == pytest.approx(0.8 / 3)
-        assert parent.timers["assemble.partial_stream"].count == 1
-
-    def test_gauges_keep_last_and_combine_extremes(self):
-        parent, worker = Metrics(), Metrics()
-        parent.gauge("exec.shm_bytes", 100.0)
-        worker.gauge("exec.shm_bytes", 50.0)
-        worker.gauge("exec.shm_bytes", 400.0)
-        parent.merge(worker.snapshot())
-        g = parent.gauges["exec.shm_bytes"]
-        assert g.last == 400.0
-        assert g.min == 50.0
-        assert g.max == 400.0
-        assert g.updates == 3
-
-    def test_merge_into_empty_registry_copies_the_snapshot(self):
-        worker = Metrics()
-        worker.count("exec.tasks", 4)
-        worker.record("exec.task", 0.25)
-        worker.gauge("exec.pool_workers", 2.0)
-        parent = Metrics()
-        parent.merge(worker.snapshot())
-        assert parent.snapshot() == worker.snapshot()
-
-    def test_events_do_not_travel(self):
-        worker = Metrics()
-        with worker.stage("jpg.emit"):
-            pass
-        parent = Metrics()
-        parent.merge(worker.snapshot())
-        assert parent.events == []
-        assert parent.timers["jpg.emit"].count == 1
-
-    def test_null_metrics_merge_is_a_no_op(self):
-        worker = Metrics()
-        worker.count("a", 7)
-        NullMetrics().merge(worker.snapshot())
-        assert NULL_METRICS.counters == {}
-
-
 class TestReservoirHistogram:
     def test_exact_quantiles_under_capacity(self):
         from repro.obs import ReservoirHistogram
@@ -245,22 +181,6 @@ class TestReservoirHistogram:
         assert h.mean == 0.0
         assert h.quantiles() == {"p50": 0.0, "p95": 0.0, "p99": 0.0}
 
-    def test_absorb_merges_counts_and_extremes(self):
-        from repro.obs import ReservoirHistogram
-
-        a = ReservoirHistogram(capacity=128)
-        b = ReservoirHistogram(capacity=128)
-        for v in range(50):
-            a.record(float(v))
-        for v in range(50, 100):
-            b.record(float(v))
-        a.absorb(b.count, b.samples(), total=b.total,
-                 min_value=b.min, max_value=b.max)
-        assert a.count == 100
-        assert a.min == 0.0 and a.max == 99.0
-        assert a.total == pytest.approx(sum(range(100)))
-        assert 35 < a.quantile(0.5) < 65
-
     def test_deterministic_given_seed(self):
         from repro.obs import ReservoirHistogram
 
@@ -294,19 +214,14 @@ class TestMetricsHistograms:
             pass
         assert m.histograms["serve.generate"].count == 1
 
-    def test_snapshot_and_merge_fold_histograms(self):
-        a = Metrics()
-        b = Metrics()
-        for v in (0.1, 0.2):
-            a.observe("lat", v)
+    def test_snapshot_reports_histograms(self):
+        m = Metrics()
         for v in (0.3, 0.4):
-            b.observe("lat", v)
-        snap = b.snapshot()
-        assert snap["histograms"]["lat"]["count"] == 2
-        a.merge(snap)
-        assert a.histograms["lat"].count == 4
-        assert a.histograms["lat"].min == pytest.approx(0.1)
-        assert a.histograms["lat"].max == pytest.approx(0.4)
+            m.observe("lat", v)
+        row = m.snapshot()["histograms"]["lat"]
+        assert row["count"] == 2
+        assert row["min"] == pytest.approx(0.3)
+        assert row["max"] == pytest.approx(0.4)
 
     def test_null_metrics_observe_is_noop(self):
         NULL_METRICS.observe("x", 1.0)  # must not raise or record
@@ -341,24 +256,10 @@ class TestStatsCreatedOnFirstUse:
             with m.stage("jpg.emit"):
                 pass
             m.observe("serve.wire", 0.5)
-            m.gauge("exec.pool_workers", i)
+            m.gauge("serve.queue_depth", i)
         # timers: replay, emit; histograms: replay, emit, serve.wire
         assert constructions == {"TimerStats": 2, "ReservoirHistogram": 3,
                                  "GaugeStats": 1}
         assert m.timers["jpg.replay"].count == 50
         assert m.histograms["jpg.emit"].count == 50
-        assert m.gauges["exec.pool_workers"].updates == 50
-
-    def test_merge_builds_only_missing_names(self, constructions):
-        worker = Metrics()
-        worker.record("jpg.emit", 0.1)
-        worker.gauge("exec.pool_workers", 2)
-        snapshot = worker.snapshot()
-        constructions.clear()
-        parent = Metrics()
-        for _ in range(10):
-            parent.merge(snapshot)
-        assert constructions == {"TimerStats": 1, "ReservoirHistogram": 1,
-                                 "GaugeStats": 1}
-        assert parent.timers["jpg.emit"].count == 10
-        assert parent.histograms["jpg.emit"].count == 10
+        assert m.gauges["serve.queue_depth"].updates == 50

@@ -7,11 +7,13 @@ from the scheduler tests (fast, deterministic); the CLI-level tests in
 
 import asyncio
 import base64
+import gc
 import json
 import socket
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -239,6 +241,20 @@ class TestClient:
         with pytest.raises(ServiceUnavailableError) as exc:
             ServeClient(str(tmp_path / "absent.sock"))
         assert "cannot reach" in str(exc.value)
+
+    def test_connect_failure_closes_the_unix_socket(self, tmp_path):
+        """A failed unix-socket connect leaves no open socket behind for
+        the garbage collector to find (and warn about)."""
+        def dial() -> None:
+            with pytest.raises(ServiceUnavailableError):
+                ServeClient(str(tmp_path / "absent.sock"))
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            dial()
+            gc.collect()
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaked, [str(w.message) for w in leaked]
 
     def test_decode_partial_rejects_failures(self):
         with pytest.raises(ServiceUnavailableError):

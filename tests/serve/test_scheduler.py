@@ -10,9 +10,10 @@ import time
 
 import pytest
 
-from repro.errors import QueueFullError
+from repro.errors import QueueFullError, ServeError
 from repro.obs import Metrics
 from repro.serve import GenRequest, Scheduler, ServeResult
+from repro.serve.scheduler import MAX_DEFAULT_WORKERS, default_workers
 
 
 class FakeService:
@@ -221,3 +222,48 @@ class TestDrain:
     def test_bad_max_queue_rejected(self):
         with pytest.raises(QueueFullError):
             Scheduler(FakeService(), max_queue=0)
+
+
+class TestDefaultWorkers:
+    def test_env_var_wins(self, monkeypatch):
+        monkeypatch.setenv("JPG_WORKERS", "5")
+        assert default_workers() == 5
+
+    def test_env_var_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("JPG_WORKERS", "many")
+        with pytest.raises(ServeError, match="integer"):
+            default_workers()
+
+    def test_env_var_must_be_positive(self, monkeypatch):
+        monkeypatch.setenv("JPG_WORKERS", "0")
+        with pytest.raises(ServeError, match=">= 1"):
+            default_workers()
+
+    def test_cpu_count_capped(self, monkeypatch):
+        monkeypatch.delenv("JPG_WORKERS", raising=False)
+        n = default_workers()
+        assert 1 <= n <= MAX_DEFAULT_WORKERS
+
+    @pytest.mark.parametrize("env, cpus, expected", [
+        ("3", 16, 3),
+        (None, 16, MAX_DEFAULT_WORKERS),
+        (None, 2, 2),
+        (None, None, 1),
+    ])
+    def test_scheduler_sizes_itself_by_default(self, monkeypatch, env, cpus,
+                                               expected):
+        """With no worker count a scheduler takes ``JPG_WORKERS``, else
+        the CPU count capped at eight (what ``jpg serve`` without
+        ``--workers`` gets)."""
+        if env is None:
+            monkeypatch.delenv("JPG_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("JPG_WORKERS", env)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+
+        async def main():
+            sched = Scheduler(FakeService(), max_queue=8)
+            await sched.aclose()
+            return sched.workers
+
+        assert asyncio.run(main()) == expected

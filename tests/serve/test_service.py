@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.errors import UsageError
-from repro.exec import SerialBackend
 from repro.serve import DiskCache, GenRequest, GenerationService
 
 pytestmark = pytest.mark.serve
@@ -38,10 +37,12 @@ class TestRequests:
         with pytest.raises(UsageError):
             req.to_item(check_interface=False)
 
-    def test_default_backend_is_serial(self, service):
-        """Generations run inline on the scheduler's threads unless a
-        warm pool is asked for."""
-        assert isinstance(service.engine.backend, SerialBackend)
+    def test_close_is_an_idempotent_no_op(self, service, demo_project):
+        """The service holds nothing to release: closing it, even twice,
+        leaves it serving."""
+        service.close()
+        service.close()
+        assert service.generate(request_for(demo_project)).ok
 
     def test_partial_key_coordinates(self, service, demo_project):
         req = request_for(demo_project)

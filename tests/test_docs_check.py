@@ -1,10 +1,18 @@
 """Docs cannot rot silently: run the docs-check and pydoc render in CI."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+_spec = importlib.util.spec_from_file_location(
+    "docs_check", REPO_ROOT / "tools" / "docs_check.py"
+)
+assert _spec is not None and _spec.loader is not None
+docs_check = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(docs_check)
 
 
 def test_docs_check_passes():
@@ -18,6 +26,28 @@ def test_docs_check_passes():
     )
     assert proc.returncode == 0, proc.stderr or proc.stdout
     assert "OK" in proc.stdout
+
+
+class TestCheckCompile:
+    """The compile pass parses src/ in memory and writes nothing."""
+
+    def test_clean_tree_passes_and_leaves_no_pycache(self, tmp_path):
+        pkg = tmp_path / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text('"""A package."""\n')
+        (pkg / "mod.py").write_text("def f():\n    return 1\n")
+        assert docs_check.check_compile(tmp_path) == []
+        assert not list(tmp_path.rglob("__pycache__"))
+        assert not list(tmp_path.rglob("*.pyc"))
+
+    def test_syntax_error_is_named(self, tmp_path):
+        pkg = tmp_path / "src" / "pkg"
+        pkg.mkdir(parents=True)
+        (pkg / "ok.py").write_text("x = 1\n")
+        (pkg / "broken.py").write_text("x = 1\ndef f(:\n")
+        problems = docs_check.check_compile(tmp_path)
+        assert len(problems) == 1
+        assert problems[0].startswith("src/pkg/broken.py:2:")
 
 
 def test_docs_exist_and_cover_packages():
